@@ -296,13 +296,30 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int) -> dict:
     }
 
 
+def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
+    """A covariate-column list from the config: distinct integers in 0..k1-1."""
+    terms = cfg.get(key, list(range(k1)))
+    valid = (
+        isinstance(terms, list)
+        and len(terms) > 0
+        and all(isinstance(t, int) and not isinstance(t, bool) and 0 <= t < k1 for t in terms)
+        and len(set(terms)) == len(terms)
+    )
+    if not valid:
+        raise ConfigError(
+            f"{key} must be a non-empty list of distinct column indices in 0..{k1 - 1}, "
+            f"got {terms!r}"
+        )
+    return terms
+
+
 def _run_smc_fit(cfg: dict, seed: int):
     model = cfg["model"]
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
-        outcome_terms = cfg.get("outcome_terms", list(range(k1)))
-        select_terms = cfg.get("select_terms", list(range(k1)))
+        outcome_terms = _term_list(cfg, "outcome_terms", k1)
+        select_terms = _term_list(cfg, "select_terms", k1)
         hyper = esnsm.EsnsmHyper.defaults(data.y.shape[1], len(outcome_terms), len(select_terms), data.n)
         target = esnsm.make_esnsm_target(
             data, hyper, outcome_terms, select_terms,
@@ -421,22 +438,6 @@ def cmd_compare(cfg: dict) -> None:
     _emit(cfg, payload)
 
 
-def _params_from_dump(names: list[str], theta_mean: np.ndarray, k1: int) -> esnsm.EsnsmParams:
-    vals = dict(zip(names, theta_mean))
-    b_full = np.zeros((1, k1))
-    b2_full = np.zeros(k1)
-    for name, v in vals.items():
-        if name.startswith("beta1_"):
-            b_full[0, int(name.split("_")[1])] = v
-        elif name.startswith("beta2_"):
-            b2_full[int(name.split("_")[1])] = v
-    alpha = [vals.get("alpha1", 0.0), vals.get("alpha2", 0.0)]
-    return esnsm.EsnsmParams(
-        b_full, b2_full, [[vals["sigma1"]]], [vals["sigma12"]],
-        alpha, vals.get("lambda", 0.0),
-    )
-
-
 def cmd_marginal_effects(cfg: dict) -> None:
     seed = _require_seed(cfg)
     if cfg["model"] != "esnsm":
@@ -445,7 +446,10 @@ def cmd_marginal_effects(cfg: dict) -> None:
         raise ConfigError("marginal effects need input data and a fitted particle dump")
     data = read_esnsm_csv(cfg["input"])
     names, theta = _read_particles_csv(cfg["particle_dump"])
-    params = _params_from_dump(names, theta.mean(axis=0), data.x.shape[1])
+    try:
+        params = esnsm.params_from_particle(names, theta.mean(axis=0), data.x.shape[1])
+    except (KeyError, IndexError, ValueError) as exc:
+        raise DataError(f"particle dump does not match the selection data: {exc!r}") from exc
     k = int(cfg.get("covariate_index", data.x.shape[1] - 1))
     if not 0 <= k < data.x.shape[1]:
         raise ConfigError("covariate_index out of range")

@@ -97,7 +97,8 @@ class EsnParamsP1:
         d = self.xi.shape[0]
         if self.sigma.shape != (d, d) or self.alpha.shape != (d,):
             raise ParameterDomainError("xi, sigma and alpha dimensions disagree")
-        assert self.c0 >= 1.0
+        if not self.c0 >= 1.0:
+            raise ParameterDomainError("1 + alpha' sigma alpha must be finite and at least 1")
 
     @property
     def d(self) -> int:
@@ -141,8 +142,10 @@ class MomentSummary:
     kurtosis: float  # non-excess convention
 
     def __post_init__(self):
-        assert self.variance > 0.0
-        assert self.kurtosis >= 1.0 + self.skewness**2
+        if not self.variance > 0.0:
+            raise NumericalError(f"moment summary has variance {self.variance}")
+        if not self.kurtosis >= 1.0 + self.skewness**2:
+            raise NumericalError("moment summary violates kurtosis >= 1 + skewness^2")
 
 
 def _gauss_logpdf(u, chol):
@@ -192,7 +195,7 @@ def p2_to_p1(params: EsnParamsP2) -> EsnParamsP1:
     sol = np.linalg.solve(sigma, params.dvec)
     u = float(params.dvec @ sol)
     if not u < 1.0:
-        raise AssertionError(
+        raise NumericalError(
             "dvec' sigma^{-1} dvec >= 1: impossible for SPD omega, numerical failure"
         )
     c0 = 1.0 / math.sqrt(1.0 - u)

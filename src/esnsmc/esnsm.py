@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import log_ndtr
 
-from . import esn
+from . import esn, normals
 from .errors import DataError, ParameterDomainError
 from .normals import log_bvn_cdf, mills_ratio_inv, norm_logpdf
 from .priors import iw_logpdf
@@ -43,6 +43,7 @@ __all__ = [
     "delta",
     "conditional_expectations",
     "marginal_effect",
+    "params_from_particle",
     "make_esnsm_target",
 ]
 
@@ -446,6 +447,27 @@ def marginal_effect(params: EsnsmParams, x_i, k: int) -> float:
     return (up - lo) / (2.0 * step)
 
 
+def params_from_particle(names: Sequence[str], theta, k1: int) -> EsnsmParams:
+    """``EsnsmParams`` of one constrained particle of ``make_esnsm_target``.
+
+    ``names`` are the target's parameter names and k1 the covariate count.
+    Coefficients the names leave out are zero, and so are the shapes and
+    the shift when they are absent (Gaussian errors).
+    """
+    vals = dict(zip(names, theta))
+    b_full = np.zeros((1, k1))
+    b2_full = np.zeros(k1)
+    for name, v in vals.items():
+        if name.startswith("beta1_"):
+            b_full[0, int(name[len("beta1_"):])] = v
+        elif name.startswith("beta2_"):
+            b2_full[int(name[len("beta2_"):])] = v
+    return EsnsmParams(
+        b_full, b2_full, [[vals["sigma1"]]], [vals["sigma12"]],
+        [vals.get("alpha1", 0.0), vals.get("alpha2", 0.0)], vals.get("lambda", 0.0),
+    )
+
+
 def make_esnsm_target(
     data: EsnsmData,
     hyper: EsnsmHyper,
@@ -460,60 +482,132 @@ def make_esnsm_target(
     correlation, and (unless gaussian_errors) the two shapes and the
     shift.  With gaussian_errors the shape and shift are pinned at zero,
     which is the Bayesian Tobit-2 model.
+
+    The target evaluates ``loglik`` plus ``log_prior_esnsm`` for the whole
+    particle matrix at once: every selection block is a scalar per
+    particle, and the design's Gram matrices are computed here, once.
     """
+    if data.y.shape[1] != 1:
+        raise DataError("the selection-model target needs a scalar outcome")
     outcome_terms = list(outcome_terms)
     select_terms = list(select_terms)
     k_out, k_sel = len(outcome_terms), len(select_terms)
-    k1 = data.x.shape[1]
-    n_shape = 0 if gaussian_errors else 3
-    dim = k_out + k_sel + 2 + n_shape
+    i_s = k_out + k_sel  # column of the outcome scale; the cross covariance follows
+    dim = i_s + (2 if gaussian_errors else 5)
 
-    def build_params(theta):
-        b_full = np.zeros((1, k1))
-        b_full[0, outcome_terms] = theta[:k_out]
-        b2_full = np.zeros(k1)
-        b2_full[select_terms] = theta[k_out : k_out + k_sel]
-        s1 = theta[k_out + k_sel]
-        s12 = theta[k_out + k_sel + 1]
-        if gaussian_errors:
-            al = np.zeros(2)
-            lam = 0.0
-        else:
-            al = theta[k_out + k_sel + 2 : k_out + k_sel + 4]
-            lam = theta[-1]
-        return EsnsmParams(b_full, b2_full, [[s1]], [s12], al, lam)
+    x1 = data.x[:, outcome_terms]
+    x2 = data.x[:, select_terms]
+    xtx1 = x1.T @ x1
+    prec2 = x2.T @ x2 / hyper.c_beta2
+    if np.linalg.matrix_rank(xtx1) < k_out or np.linalg.matrix_rank(prec2) < k_sel:
+        raise DataError("X'X is singular")
+    logdet1 = np.linalg.slogdet(xtx1)[1]
+    logdet2 = np.linalg.slogdet(prec2)[1]
+    mu_b = hyper.mu_b.ravel()
+    v0 = float(hyper.V[0, 0])
+    # every prior term that does not depend on the particle
+    prior_const = (
+        -0.5 * k_out * (_LOG_2PI + math.log(hyper.c_beta1)) + 0.5 * logdet1
+        - 0.5 * k_sel * _LOG_2PI + 0.5 * logdet2
+        + 0.5 * hyper.nu * math.log(0.5 * v0) - math.lgamma(0.5 * hyper.nu)
+        - math.log(2.0)  # sigma12 uniform on (-sqrt(sigma1), sqrt(sigma1))
+        - _LOG_2PI - math.log(hyper.sigma2_alpha)
+        - 0.5 * _LOG_2PI
+    )
+    obs = data.s == 1
+    y_obs = data.y[obs, 0]
+    x1_obs, x2_obs, x2_cen = x1[obs], x2[obs], x2[~obs]
+    n_obs, n_cen = x1_obs.shape[0], x2_cen.shape[0]
 
     def to_constrained(v):
-        out = np.asarray(v, dtype=float).copy()
-        u = v[k_out + k_sel]
-        w = v[k_out + k_sel + 1]
-        out[k_out + k_sel] = math.exp(2.0 * u)
-        out[k_out + k_sel + 1] = math.exp(u) * math.tanh(w)
+        """One unconstrained vector, or a matrix with one per row."""
+        out = np.array(v, dtype=float)
+        u, w = out[..., i_s], out[..., i_s + 1]
+        out[..., i_s], out[..., i_s + 1] = np.exp(2.0 * u), np.exp(u) * np.tanh(w)
         return out
 
     def to_unconstrained(theta):
         out = np.asarray(theta, dtype=float).copy()
-        s1 = theta[k_out + k_sel]
-        s12 = theta[k_out + k_sel + 1]
+        s1 = theta[i_s]
+        s12 = theta[i_s + 1]
         u = 0.5 * math.log(s1)
-        out[k_out + k_sel] = u
-        out[k_out + k_sel + 1] = math.atanh(min(max(s12 / math.sqrt(s1), -1 + 1e-12), 1 - 1e-12))
+        out[i_s] = u
+        out[i_s + 1] = math.atanh(min(max(s12 / math.sqrt(s1), -1 + 1e-12), 1 - 1e-12))
         return out
 
-    def log_jacobian(v):
-        u = v[k_out + k_sel]
-        w = v[k_out + k_sel + 1]
-        # d(sigma1^2)/du = 2 e^{2u}; d(sigma12)/dw = e^u sech^2(w)
-        return math.log(2.0) + 3.0 * u + math.log(max(1.0 - math.tanh(w) ** 2, 1e-300))
+    def block(vmat):
+        theta = to_constrained(vmat)
+        b, b2 = theta[:, :k_out], theta[:, k_out:i_s]
+        s1, s12 = theta[:, i_s], theta[:, i_s + 1]
+        if gaussian_errors:
+            a1 = a2 = lam = np.zeros(theta.shape[0])
+        else:
+            a1, a2, lam = theta[:, i_s + 2 :].T
+        c0sq = 1.0 + a1 * (a1 * s1 + a2 * s12) + a2 * (a1 * s12 + a2)
 
-    def log_post(theta):
-        try:
-            params = build_params(theta)
-            return loglik(params, data) + log_prior_esnsm(
-                params, hyper, data.x, outcome_terms, select_terms
-            )
-        except (ParameterDomainError, np.linalg.LinAlgError, FloatingPointError):
-            return -math.inf
+        # the blocks of _selection_blocks; s12 / s1 rounds as the scalar
+        # route's 1 x 1 solve does, so near |rho| = 1, where 1 - s12^2 / s1
+        # cancels, both routes agree
+        c0 = np.sqrt(c0sq)
+        h = mills_ratio_inv(lam / c0)
+        xi1 = -(s1 * a1 + s12 * a2) / c0 * h
+        xi2 = -(s12 * a1 + a2) / c0 * h
+        sol12 = s12 / s1
+        s22_1 = 1.0 - s12 * sol12
+        c2 = 1.0 / np.sqrt(1.0 + a1 * a1 * (s1 - s12 * s12))
+        at2 = a2 + s12 * a1
+        at1 = a1 + sol12 * a2
+        c1 = 1.0 / np.sqrt(1.0 + a2 * a2 * s22_1)
+        c0m = np.sqrt(1.0 + c1 * c1 * at1 * at1 * s1)
+        c0s = np.sqrt(1.0 + (c2 * at2) ** 2)
+
+        # loglik; the CDF is reached through its module so that wrappers
+        # of esnsm.log_bvn_cdf, which expect a scalar r, do not see this call
+        k = c2 * lam / c0s
+        r = np.clip(-(c2 * at2) / c0s, -1.0 + 1e-14, 1.0 - 1e-14)
+        hc = -(b2 @ x2_cen.T) - xi2[:, None]
+        ll = normals.log_bvn_cdf(hc, k[:, None], r[:, None]).sum(axis=1) - n_cen * log_ndtr(k)
+        sd1 = np.sqrt(s1)
+        resid = y_obs - b @ x1_obs.T - xi1[:, None]
+        m = xi2[:, None] + b2 @ x2_obs.T + resid * sol12[:, None]
+        lam_i = lam[:, None] + resid * at1[:, None]
+        sd2 = np.sqrt(s22_1)
+        kvar = np.sqrt(1.0 + a2 * a2 * s22_1)
+        r = np.clip(a2 * sd2 / kvar, -1.0 + 1e-14, 1.0 - 1e-14)
+        num = normals.log_bvn_cdf(m / sd2[:, None], lam_i / kvar[:, None], r[:, None])
+        ll += (
+            -n_obs * (0.5 * _LOG_2PI + np.log(sd1) + log_ndtr(c1 * lam / c0m))
+            - 0.5 * np.sum((resid / sd1[:, None]) ** 2, axis=1)
+            + num.sum(axis=1)
+        )
+
+        # log_prior_esnsm without its constant terms
+        db = b - mu_b
+        d2 = b2 - hyper.mu_beta2
+        lp = (
+            prior_const
+            - 0.5 * k_out * np.log(s1)
+            - 0.5 * np.einsum("nj,jk,nk->n", db, xtx1, db) / (hyper.c_beta1 * s1)
+            - 0.5 * np.einsum("nj,jk,nk->n", d2, prec2, d2)
+            - 0.5 * (hyper.nu + 3.0) * np.log(s1)
+            - 0.5 * v0 / s1
+            - 0.5 * (a1 * a1 + a2 * a2) / hyper.sigma2_alpha
+            - 0.5 * (np.log(c0sq) + lam * lam / c0sq)
+        )
+
+        # log|J|: d(sigma1)/du = 2 e^{2u}, d(sigma12)/dw = e^u sech^2(w),
+        # with log sech^2(w) written to stay exact for large |w|
+        u, aw = vmat[:, i_s], np.abs(vmat[:, i_s + 1])
+        log_jac = 3.0 * (math.log(2.0) + u) - 2.0 * (aw + np.log1p(np.exp(-2.0 * aw)))
+        # s22_1 = 1 - q: both the likelihood and the sigma12 prior need q < 1
+        return np.where(s22_1 > 0.0, ll + lp + log_jac, -np.inf)
+
+    # the bivariate CDF holds some twenty temporaries of the block's
+    # particle-by-observation size; blocks of about 2^14 points keep them small
+    rows = max(1, 2**14 // data.n)
+
+    def batch(vmat):
+        return np.concatenate([block(vmat[i : i + rows]) for i in range(0, vmat.shape[0], rows)])
 
     names = (
         [f"beta1_{j}" for j in outcome_terms]
@@ -522,9 +616,6 @@ def make_esnsm_target(
         + ([] if gaussian_errors else ["alpha1", "alpha2", "lambda"])
     )
 
-    obs = data.s == 1
-    y_obs = data.y[obs, 0]
-    x1_obs = data.x[np.ix_(obs, outcome_terms)]
     coef, *_ = np.linalg.lstsq(x1_obs, y_obs, rcond=None)
     resid_var = float(np.var(y_obs - x1_obs @ coef)) or 1.0
     start_theta = np.concatenate(
@@ -537,10 +628,9 @@ def make_esnsm_target(
     )
     return TargetModel(
         dim=dim,
-        log_posterior_unnorm=log_post,
+        log_target_batch=batch,
         to_constrained=to_constrained,
         to_unconstrained=to_unconstrained,
-        log_jacobian=log_jacobian,
         param_names=names,
         default_start=to_unconstrained(start_theta),
     )

@@ -4,21 +4,22 @@ Each builder packs the model's parameters into a flat constrained vector,
 defines the matching unconstrained coordinates (locations, shapes and
 shift/truncation scalars pass through; scale matrices go through a
 log-Cholesky map), and wires the likelihood and prior into a
-``TargetModel``.  The univariate models also carry a vectorised
-evaluator over whole particle matrices, which is what makes the
-sampler's inner loop cheap; it is required to agree with the scalar
-route and is tested against it.
+``TargetModel`` as one vectorised evaluator over whole particle
+matrices, in any dimension.  The Gaussian part of each likelihood works
+from the data's centred sufficient statistics, so the only
+particle-by-observation work is the skewing term of the ESN models.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
+from scipy.special import log_ndtr
 
-from . import esn, priors
-from .errors import ParameterDomainError
+from . import priors
+from .model_select import log_mv_gamma
 from .smc import TargetModel
 
 __all__ = [
@@ -32,10 +33,12 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+@lru_cache(maxsize=None)
 def _tril(d):
     return np.tril_indices(d)
 
 
+@lru_cache(maxsize=None)
 def _diag_positions(d):
     rows, cols = _tril(d)
     return np.flatnonzero(rows == cols)
@@ -60,10 +63,23 @@ def chol_params_from_matrix(m):
 
 def chol_log_jacobian(u, d):
     """log |d vech(Sigma) / d u| for the log-Cholesky map:
-    d log 2 + sum_i (d - i + 2) log L_ii (1-based diagonal index i)."""
-    logdiag = np.asarray(u)[_diag_positions(d)]
+    d log 2 + sum_i (d - i + 2) log L_ii (1-based diagonal index i).
+    ``u`` is one parameter vector or a matrix with one per row."""
+    logdiag = np.asarray(u)[..., _diag_positions(d)]
     weights = d - np.arange(1, d + 1) + 2
-    return d * math.log(2.0) + float(weights @ logdiag)
+    return d * math.log(2.0) + logdiag @ weights
+
+
+def _inv_lower(lmat):
+    """Inverses of a stack of lower-triangular matrices by forward
+    substitution; a zero diagonal gives non-finite entries, not an error."""
+    d = lmat.shape[-1]
+    inv = np.zeros_like(lmat)
+    for i in range(d):
+        row = -np.einsum("nj,njk->nk", lmat[:, i, :i], inv[:, :i])
+        row[:, i] += 1.0
+        inv[:, i] = row / lmat[:, i, i, None]
+    return inv
 
 
 class _Packing:
@@ -92,13 +108,21 @@ class _Packing:
         out[self._s] = chol_params_from_matrix(sigma)
         return out
 
-    def log_jacobian(self, v):
-        return chol_log_jacobian(np.asarray(v)[self._s], self.d)
-
-    def unpack_matrix(self, theta):
-        sigma = np.zeros((self.d, self.d))
-        sigma[_tril(self.d)] = np.asarray(theta)[self._s]
-        return sigma + sigma.T - np.diag(np.diag(sigma))
+    def split(self, vmat):
+        """Per-particle pieces of an (N, dim) unconstrained matrix: the
+        location block, the scale matrix's Cholesky factor, its inverse
+        (the precision matrix), its log-determinant, the trailing columns,
+        and the log-Jacobian of the scale map."""
+        d = self.d
+        u = vmat[:, self._s]
+        lmat = np.zeros((vmat.shape[0], d, d))
+        lmat[(slice(None),) + _tril(d)] = u
+        logdiag = u[:, _diag_positions(d)]
+        lmat[:, np.arange(d), np.arange(d)] = np.exp(logdiag)
+        linv = _inv_lower(lmat)
+        prec = np.einsum("nji,njk->nik", linv, linv)
+        logdet = 2.0 * logdiag.sum(axis=1)
+        return vmat[:, :d], lmat, prec, logdet, vmat[:, self._s.stop :], chol_log_jacobian(u, d)
 
 
 def _scale_names(prefix, d):
@@ -106,18 +130,55 @@ def _scale_names(prefix, d):
     return [f"{prefix}{i + 1}{j + 1}" for i, j in zip(rows, cols)]
 
 
-def _iw1_logpdf_vec(s2, scale, df):
-    return (
-        0.5 * df * math.log(scale)
-        - 0.5 * df * math.log(2.0)
-        - gammaln(0.5 * df)
-        - (0.5 * df + 1.0) * np.log(s2)
-        - 0.5 * scale / s2
+def _quad(prec, u):
+    """u' P u per particle."""
+    return np.einsum("nj,njk,nk->n", u, prec, u)
+
+
+def _gauss_logpdf(x, mean, prec, logdet, kappa=1.0):
+    """log N(x; mean, Sigma / kappa) per particle, given Sigma^{-1} and log|Sigma|."""
+    d = x.shape[1]
+    return -0.5 * (d * (_LOG_2PI - math.log(kappa)) + logdet + kappa * _quad(prec, x - mean))
+
+
+def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v):
+    """Normal-inverse-Wishart log-density per particle (``priors.niw_logpdf``)."""
+    d = xi.shape[1]
+    iw = (
+        0.5 * nu * np.linalg.slogdet(v)[1]
+        - 0.5 * nu * d * math.log(2.0)
+        - log_mv_gamma(d, nu / 2.0)
+        - 0.5 * (nu + d + 1.0) * logdet
+        - 0.5 * np.einsum("njk,jk->n", prec, v)
     )
+    return iw + _gauss_logpdf(xi, xi0, prec, logdet, kappa)
 
 
-def _norm_logpdf_vec(x, mean, var):
-    return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
+class _Stats:
+    """IID data with its mean and centred scatter matrix."""
+
+    def __init__(self, z):
+        self.z = z
+        self.n, self.d = z.shape
+        self.mean = z.mean(axis=0)
+        centred = z - self.mean
+        self.scatter = centred.T @ centred
+
+
+def _gauss_loglik(st, xi, prec, logdet):
+    """sum_i log N(z_i; xi, Sigma) per particle, from the centred statistics:
+    sum_i (z_i - xi)' P (z_i - xi) = tr(P S) + n (zbar - xi)' P (zbar - xi)."""
+    quad = np.einsum("njk,jk->n", prec, st.scatter) + st.n * _quad(prec, st.mean - xi)
+    return -0.5 * (st.n * (st.d * _LOG_2PI + logdet) + quad)
+
+
+def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq):
+    """IID ESN log-likelihood per particle under the hidden-truncation form
+    (precision and log-determinant of the scale, shape, shift, c0^2)."""
+    arg = alpha @ st.z.T  # the one particle-by-observation array
+    arg += (lam - np.einsum("nj,nj->n", alpha, xi))[:, None]
+    skew = log_ndtr(arg, out=arg).sum(axis=1)
+    return _gauss_loglik(st, xi, prec, logdet) + skew - st.n * log_ndtr(lam / np.sqrt(c0sq))
 
 
 def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel:
@@ -126,24 +187,25 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    n, d = z.shape
+    st = _Stats(z)
+    d = st.d
     pack = _Packing(d, extra=d + 1)
 
     if parametrization == "p1":
         if not isinstance(hyper, priors.HyperParamsP1):
             raise TypeError("p1 target needs HyperParamsP1")
 
-        def unpack(theta):
-            return esn.EsnParamsP1(
-                theta[:d], pack.unpack_matrix(theta), theta[-d - 1 : -1], theta[-1]
-            )
-
-        def log_post(theta):
-            try:
-                params = unpack(theta)
-                return esn.loglik(params, z) + priors.log_prior_p1(params, hyper)
-            except (ParameterDomainError, np.linalg.LinAlgError, FloatingPointError):
-                return -math.inf
+        def batch(vmat):
+            xi, lmat, prec, logdet, rest, log_jac = pack.split(vmat)
+            alpha, lam = rest[:, :d], rest[:, d]
+            sa = np.einsum("nji,nj->ni", lmat, alpha)  # L' alpha
+            c0sq = 1.0 + np.einsum("ni,ni->n", sa, sa)
+            da = alpha - hyper.mu_alpha
+            lp = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
+            lp -= 0.5 * (d * (_LOG_2PI + math.log(hyper.sigma2_alpha))
+                         + np.einsum("nj,nj->n", da, da) / hyper.sigma2_alpha)
+            lp -= 0.5 * (_LOG_2PI + np.log(c0sq) + lam * lam / c0sq)
+            return _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq) + lp + log_jac
 
         if d == 1:
             names = ["xi", "sigma2", "alpha", "lambda"]
@@ -154,22 +216,27 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
                 + [f"alpha{i + 1}" for i in range(d)]
                 + ["lambda"]
             )
-        batch = _batch_esn_p1_1d(z, hyper) if d == 1 else None
     elif parametrization == "p2":
         if not isinstance(hyper, priors.HyperParamsP2):
             raise TypeError("p2 target needs HyperParamsP2")
 
-        def unpack(theta):
-            return esn.EsnParamsP2(
-                theta[:d], pack.unpack_matrix(theta), theta[-d - 1 : -1], theta[-1]
-            )
-
-        def log_post(theta):
-            try:
-                params = unpack(theta)
-                return esn.loglik(params, z) + priors.log_prior_p2(params, hyper)
-            except (ParameterDomainError, np.linalg.LinAlgError, FloatingPointError):
-                return -math.inf
+        def batch(vmat):
+            # convolution to hidden-truncation form (esn.p2_to_p1) by
+            # Sherman-Morrison: with q = d' Omega^{-1} d, Sigma = Omega + d d'
+            # has log|Sigma| = log|Omega| + log(1 + q), shape
+            # Omega^{-1} d / sqrt(1 + q), shift c sqrt(1 + q) and c0^2 = 1 + q
+            xi, _, prec, logdet, rest, log_jac = pack.split(vmat)
+            dvec, c = rest[:, :d], rest[:, d]
+            pd = np.einsum("njk,nk->nj", prec, dvec)
+            q1 = 1.0 + np.einsum("nj,nj->n", dvec, pd)
+            sig_prec = prec - np.einsum("nj,nk->njk", pd, pd) / q1[:, None, None]
+            root = np.sqrt(q1)
+            alpha = pd / root[:, None]
+            ll = _esn_loglik(st, xi, sig_prec, logdet + np.log(q1), alpha, c * root, q1)
+            lp = _niw_logpdf(xi, prec, logdet, hyper.xi0t, hyper.kappat, hyper.nut, hyper.Vt)
+            lp += _gauss_logpdf(dvec, hyper.mu_d, prec, logdet, hyper.kappa_d)
+            lp -= 0.5 * (_LOG_2PI + c * c)
+            return ll + lp + log_jac
 
         if d == 1:
             names = ["xi", "omega2", "d", "c"]
@@ -180,11 +247,10 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
                 + [f"d{i + 1}" for i in range(d)]
                 + ["c"]
             )
-        batch = _batch_esn_p2_1d(z, hyper) if d == 1 else None
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
-    mean = z.mean(axis=0)
+    mean = st.mean
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[z.var()]])
     skew_sign = float(np.sign(np.mean((z[:, 0] - mean[0]) ** 3)) or 1.0)
     if parametrization == "p1":
@@ -199,68 +265,12 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
 
     return TargetModel(
         dim=pack.dim,
-        log_posterior_unnorm=log_post,
+        log_target_batch=batch,
         to_constrained=pack.to_constrained,
         to_unconstrained=pack.to_unconstrained,
-        log_jacobian=pack.log_jacobian,
-        log_target_batch=batch,
         param_names=names,
         default_start=pack.to_unconstrained(start_theta),
     )
-
-
-def _batch_esn_p1_1d(z, hyper):
-    zz = z.ravel()
-    n = zz.shape[0]
-    sz = zz.sum()
-    szz = float(zz @ zz)
-    v0 = float(hyper.V[0, 0])
-    xi0 = float(hyper.xi0[0])
-    mu_a = float(hyper.mu_alpha[0])
-
-    def batch(vmat):
-        xi, u, al, lam = vmat.T
-        s2 = np.exp(2.0 * u)
-        c0sq = 1.0 + al * al * s2
-        ss = szz - 2.0 * xi * sz + n * xi * xi
-        ll = -0.5 * n * (_LOG_2PI + 2.0 * u) - 0.5 * ss / s2
-        arg = lam[:, None] + al[:, None] * (zz[None, :] - xi[:, None])
-        ll += log_ndtr(arg).sum(axis=1) - n * log_ndtr(lam / np.sqrt(c0sq))
-        lp = _iw1_logpdf_vec(s2, v0, hyper.nu)
-        lp += _norm_logpdf_vec(xi, xi0, s2 / hyper.kappa)
-        lp += _norm_logpdf_vec(al, mu_a, hyper.sigma2_alpha)
-        lp += _norm_logpdf_vec(lam, 0.0, c0sq)
-        return ll + lp + math.log(2.0) + 2.0 * u
-
-    return batch
-
-
-def _batch_esn_p2_1d(z, hyper):
-    zz = z.ravel()
-    n = zz.shape[0]
-    v0 = float(hyper.Vt[0, 0])
-    xi0 = float(hyper.xi0t[0])
-    mu_d = float(hyper.mu_d[0])
-
-    def batch(vmat):
-        xi, u, dd, c = vmat.T
-        w2 = np.exp(2.0 * u)
-        s2 = w2 + dd * dd
-        c0 = np.sqrt(s2 / w2)
-        resid = zz[None, :] - xi[:, None]
-        ll = (
-            -0.5 * n * (_LOG_2PI + np.log(s2))
-            - 0.5 * np.sum(resid * resid, axis=1) / s2
-        )
-        arg = c0[:, None] * (c[:, None] + dd[:, None] * resid / s2[:, None])
-        ll += log_ndtr(arg).sum(axis=1) - n * log_ndtr(c)
-        lp = _iw1_logpdf_vec(w2, v0, hyper.nut)
-        lp += _norm_logpdf_vec(xi, xi0, w2 / hyper.kappat)
-        lp += _norm_logpdf_vec(dd, mu_d, w2 / hyper.kappa_d)
-        lp += _norm_logpdf_vec(c, 0.0, 1.0)
-        return ll + lp + math.log(2.0) + 2.0 * u
-
-    return batch
 
 
 def make_gaussian_target(data, hyper) -> TargetModel:
@@ -272,54 +282,27 @@ def make_gaussian_target(data, hyper) -> TargetModel:
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    n, d = z.shape
+    st = _Stats(z)
+    d = st.d
     pack = _Packing(d, extra=0)
 
-    def log_post(theta):
-        try:
-            xi = theta[:d]
-            sigma = pack.unpack_matrix(theta)
-            chol = np.linalg.cholesky(sigma)
-            resid = z - xi
-            w = np.linalg.solve(chol, resid.T)
-            ll = -0.5 * n * (d * _LOG_2PI) - n * np.sum(np.log(np.diag(chol)))
-            ll -= 0.5 * float(np.sum(w * w))
-            return ll + priors.niw_logpdf(xi, sigma, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
-        except (np.linalg.LinAlgError, ParameterDomainError, FloatingPointError):
-            return -math.inf
-
-    batch = None
-    if d == 1:
-        zz = z.ravel()
-        sz = zz.sum()
-        szz = float(zz @ zz)
-        v0 = float(hyper.V[0, 0])
-        xi0 = float(hyper.xi0[0])
-
-        def batch(vmat):
-            xi, u = vmat.T
-            s2 = np.exp(2.0 * u)
-            ss = szz - 2.0 * xi * sz + n * xi * xi
-            ll = -0.5 * n * (_LOG_2PI + 2.0 * u) - 0.5 * ss / s2
-            lp = _iw1_logpdf_vec(s2, v0, hyper.nu)
-            lp += _norm_logpdf_vec(xi, xi0, s2 / hyper.kappa)
-            return ll + lp + math.log(2.0) + 2.0 * u
+    def batch(vmat):
+        xi, _, prec, logdet, _, log_jac = pack.split(vmat)
+        lp = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
+        return _gauss_loglik(st, xi, prec, logdet) + lp + log_jac
 
     names = (
         ["xi", "sigma2"]
         if d == 1
         else [f"xi{i + 1}" for i in range(d)] + _scale_names("sigma", d)
     )
-    mean = z.mean(axis=0)
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[max(z.var(), 1e-8)]])
-    start_theta = np.concatenate([mean, np.atleast_2d(var)[_tril(d)]])
+    start_theta = np.concatenate([st.mean, np.atleast_2d(var)[_tril(d)]])
     return TargetModel(
         dim=pack.dim,
-        log_posterior_unnorm=log_post,
+        log_target_batch=batch,
         to_constrained=pack.to_constrained,
         to_unconstrained=pack.to_unconstrained,
-        log_jacobian=pack.log_jacobian,
-        log_target_batch=batch,
         param_names=names,
         default_start=pack.to_unconstrained(start_theta),
     )

@@ -3,8 +3,9 @@ multivariate normal CDFs.
 
 The univariate pieces wrap ``scipy.special`` (erfc-based, with the
 asymptotic branch for large negative arguments), so ``log Phi`` stays
-finite for every finite argument.  The bivariate CDF is a vectorised
-port of Genz's Drezner-Genz hybrid rule (absolute error below 5e-16);
+finite for every finite argument.  The bivariate CDF applies Owen's
+T-function identity through ``scipy.special.owens_t`` (Patefield-Tandy),
+broadcast over both limits and the correlation;
 the trivariate CDF conditions on one coordinate and integrates the
 bivariate CDF with adaptive quadrature; dimension four uses randomised
 quasi-Monte Carlo with a reported standard error.  Dimensions above
@@ -22,28 +23,6 @@ from scipy.stats import qmc
 from .errors import NumericalError, UnsupportedDimensionError
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# fmt: off
-_BVN_X = (
-    np.array([-0.9324695142031522, -0.6612093864662647, -0.2386191860831970]),
-    np.array([-0.9815606342467191, -0.9041172563704750, -0.7699026741943050,
-              -0.5873179542866171, -0.3678314989981802, -0.1252334085114692]),
-    np.array([-0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
-              -0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
-              -0.5108670019508271, -0.3737060887154196, -0.2277858511416451,
-              -0.0765265211334973]),
-)
-_BVN_W = (
-    np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
-    np.array([0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-              0.2031674267230659, 0.2334925365383547, 0.2491470458134029]),
-    np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-              0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-              0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-              0.1527533871307259]),
-)
-# fmt: on
-
 
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
@@ -74,110 +53,62 @@ def mills_ratio_inv(x):
     return np.exp(norm_logpdf(x) - special.log_ndtr(x))
 
 
-def _bvnu(dh, dk, r):
-    """Genz/Drezner upper-orthant probability P(X > dh, Y > dk), vectorised
-    over dh/dk for a scalar correlation r."""
-    dh = np.asarray(dh, dtype=float)
-    dk = np.asarray(dk, dtype=float)
-    dh, dk = np.broadcast_arrays(dh, dk)
-    out = np.empty(dh.shape, dtype=float)
+def _bvn(h, k, r):
+    """P(X <= h, Y <= k) for standard bivariate normals with correlation r;
+    h, k and r broadcast.
 
-    inf_h = np.isposinf(dh) | np.isposinf(dk)
-    neg_h = np.isneginf(dh) & ~inf_h
-    neg_k = np.isneginf(dk) & ~inf_h
-    out[inf_h] = 0.0
-    out[neg_h & neg_k] = 1.0
-    out[neg_h & ~neg_k] = special.ndtr(-dk[neg_h & ~neg_k])
-    out[neg_k & ~neg_h] = special.ndtr(-dh[neg_k & ~neg_h])
-    fin = ~(inf_h | neg_h | neg_k)
-    if not np.any(fin):
-        return out
-
-    h = dh[fin]
-    k = dk[fin]
-    if abs(r) < 0.3:
-        ng = 0
-    elif abs(r) < 0.75:
-        ng = 1
-    else:
-        ng = 2
-    x, w = _BVN_X[ng], _BVN_W[ng]
-    hk = h * k
-    bvn = np.zeros_like(h)
-
-    if abs(r) < 0.925:
-        hs = (h * h + k * k) / 2.0
-        asr = math.asin(r)
-        sn1 = np.sin(asr * (x + 1.0) / 2.0)
-        sn2 = np.sin(asr * (-x + 1.0) / 2.0)
-        for sn in (sn1, sn2):
-            e = np.exp((np.outer(hk, sn) - hs[:, None]) / (1.0 - sn * sn))
-            bvn += e @ w
-        bvn = bvn * asr / (4.0 * math.pi) + special.ndtr(-h) * special.ndtr(-k)
-    else:
-        if r < 0.0:
-            k = -k
-            hk = -hk
-        if abs(r) < 1.0:
-            as_ = (1.0 - r) * (1.0 + r)
-            a = math.sqrt(as_)
-            bs = (h - k) ** 2
-            c = (4.0 - hk) / 8.0
-            d = (12.0 - hk) / 16.0
-            asr = -(bs / as_ + hk) / 2.0
-            m = asr > -100.0
-            bvn[m] = (
-                a
-                * np.exp(asr[m])
-                * (
-                    1.0
-                    - c[m] * (bs[m] - as_) * (1.0 - d[m] * bs[m] / 5.0) / 3.0
-                    + c[m] * d[m] * as_ * as_ / 5.0
-                )
-            )
-            m = -hk < 100.0
-            if np.any(m):
-                b = np.sqrt(bs[m])
-                sp = math.sqrt(2.0 * math.pi) * special.ndtr(-b / a)
-                bvn[m] -= (
-                    np.exp(-hk[m] / 2.0)
-                    * sp
-                    * b
-                    * (1.0 - c[m] * bs[m] * (1.0 - d[m] * bs[m] / 5.0) / 3.0)
-                )
-            a2 = a / 2.0
-            for xi, wi in zip(np.concatenate([x, -x]), np.concatenate([w, w])):
-                xs = (a2 * (xi + 1.0)) ** 2
-                rs = math.sqrt(1.0 - xs)
-                asr = -(bs / xs + hk) / 2.0
-                m = asr > -100.0
-                sp = 1.0 + c[m] * xs * (1.0 + d[m] * xs)
-                ep = np.exp(-hk[m] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                bvn[m] += a2 * wi * np.exp(asr[m]) * (ep - sp)
-            bvn = -bvn / (2.0 * math.pi)
-        if r > 0.0:
-            bvn += special.ndtr(-np.maximum(h, k))
-        else:
-            bvn = -bvn
-            mk = k > h
-            if np.any(mk):
-                bvn[mk] += special.ndtr(k[mk]) - special.ndtr(h[mk])
-
-    out[fin] = np.clip(bvn, 0.0, 1.0)
-    return out
+    Owen's (1956) identity writes the probability through two T-functions,
+    Phi2 = Phi(h)/2 + Phi(k)/2 - T(h, k'/h) - T(k, h'/k) - beta, with beta = 1/2
+    when hk < 0 (or hk = 0 and h + k < 0) and 0 otherwise, h' = (h - r k)/s,
+    k' = (k - r h)/s and s = sqrt(1 - r^2).  With |h| >= |k|,
+    the identity T(k, a) + T(ak, 1/a) = Phi(k)/2 + Phi(ak)/2 - Phi(k) Phi(ak)
+    - [a < 0]/2 turns the second term into T(h', k/h'), giving
+    Phi2 = Phi(k) Phi(h') + (Phi(h) - Phi(h'))/2 - T(h, k'/h) + T(h', k/h'),
+    which is exact at r = 0.  Each point takes the form whose terms are
+    smaller (|h'| > |k|, or not), so small probabilities keep their
+    relative precision.
+    """
+    h, k, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h, k, r)))
+    swap = np.abs(h) < np.abs(k)
+    h, k = np.where(swap, k, h), np.where(swap, h, k)
+    with np.errstate(all="ignore"):
+        s = np.sqrt((1.0 - r) * (1.0 + r))
+        hp = (h - r * k) / s
+        kp = (k - r * h) / s
+        # Phi through its tail, Phi(-|x|), keeps small values exact; h and h'
+        # share their sign, so Phi(h) - Phi(h') is a difference of tails
+        tail_h, tail_k, tail_hp = (special.ndtr(-np.abs(x)) for x in (h, k, hp))
+        phi_h, phi_k, phi_hp = (
+            np.where(x > 0.0, 1.0 - t, t) for x, t in ((h, tail_h), (k, tail_k), (hp, tail_hp))
+        )
+        base_conv = phi_k * phi_hp - 0.5 * np.sign(h) * (tail_h - tail_hp)
+        # with opposite signs the identity's -1/2 turns Phi(max) into -Phi(-max)
+        base_owen = np.where(
+            (h < 0.0) != (k < 0.0), -0.5 * np.sign(h) * (tail_h - tail_k), 0.5 * (phi_h + phi_k)
+        )
+        conv = np.abs(hp) > np.abs(k)
+        t2 = special.owens_t(np.where(conv, hp, k), np.where(conv, k / hp, hp / k))
+        p = np.where(conv, base_conv + t2, base_owen - t2) - special.owens_t(h, kp / h)
+    zero = (h == 0.0) & (k == 0.0)
+    if np.any(zero):
+        p = np.where(zero, 0.25 + np.arcsin(r) / (2.0 * math.pi), p)
+    inf = np.isinf(h) | np.isinf(k)
+    if np.any(inf):
+        limit = np.where(np.isposinf(k), special.ndtr(h), 0.0)
+        p = np.where(inf, np.where(np.isposinf(h), special.ndtr(k), limit), p)
+    return np.clip(p, 0.0, 1.0)
 
 
 def bvn_cdf(h, k, r):
     """P(X <= h, Y <= k) for a standard bivariate normal with correlation r.
 
-    h and k broadcast against each other; r is a scalar in (-1, 1).
+    h, k and r broadcast against each other; every r lies in (-1, 1).
     """
-    if not -1.0 < r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((-1.0 < r) & (r < 1.0)):
         raise ValueError(f"correlation must lie in (-1, 1), got {r}")
-    res = _bvnu(np.negative(h), np.negative(k), r)
-    if np.ndim(h) == 0 and np.ndim(k) == 0:
-        return float(res)
-    return res
+    res = _bvn(h, k, r)
+    return float(res) if res.ndim == 0 else res
 
 
 _GL240 = np.polynomial.legendre.leggauss(240)
@@ -213,23 +144,18 @@ def _log_bvn_tail(h, k, r):
 
 
 def log_bvn_cdf(h, k, r):
-    """log of ``bvn_cdf``; deep joint tails switch to a log-space
-    quadrature of the conditional representation so the result keeps
-    relative accuracy instead of inheriting the direct rule's absolute
-    error floor."""
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    h, k = np.broadcast_arrays(h, k)
+    """log of ``bvn_cdf``; h, k and r broadcast.  Deep joint tails switch to
+    a log-space quadrature of the conditional representation so the
+    result keeps relative accuracy instead of inheriting the direct rule's
+    absolute error floor."""
+    h, k, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h, k, r)))
     scalar = h.ndim == 0
-    h = np.atleast_1d(h)
-    k = np.atleast_1d(k)
-    p = _bvnu(-h, -k, r)
-    out = np.full(p.shape, -np.inf)
-    ok = p > 1e-10
-    out[ok] = np.log(p[ok])
-    bad = np.flatnonzero(~ok)
-    for idx in bad:
-        out[idx] = _log_bvn_tail(float(h[idx]), float(k[idx]), r)
+    h, k, r = np.atleast_1d(h, k, r)
+    p = _bvn(h, k, r)
+    with np.errstate(divide="ignore"):
+        out = np.log(p)
+    for idx in np.flatnonzero(p <= 1e-10):
+        out.flat[idx] = _log_bvn_tail(h.flat[idx], k.flat[idx], r.flat[idx])
     return float(out[0]) if scalar else out
 
 

@@ -127,7 +127,6 @@ def default_hyper(d: int) -> tuple[HyperParamsP1, HyperParamsP2]:
     )
     # the convolution-side scale prior must sit on smaller values
     np.linalg.cholesky(h1.V - h2.Vt)
-    assert h2.nut >= h1.nu
     return h1, h2
 
 

@@ -53,10 +53,6 @@ def _identity(v):
     return v
 
 
-def _zero(v):
-    return 0.0
-
-
 @dataclass
 class GaussianInit:
     """Normalised Gaussian initial distribution in unconstrained coordinates."""
@@ -94,37 +90,29 @@ class GaussianInit:
 class TargetModel:
     """Posterior target seen by the sampler.
 
-    ``log_posterior_unnorm`` evaluates the unnormalised log posterior on a
-    flat constrained parameter vector; transforms map to and from the
-    unconstrained coordinates the sampler works in, with ``log_jacobian``
-    the log-determinant of d(constrained)/d(unconstrained).  An optional
-    ``log_target_batch`` evaluates whole particle matrices at once
-    (Jacobian included) and must agree with the scalar route.
+    ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
+    to the N values of the unnormalised log posterior plus the
+    log-determinant of d(constrained)/d(unconstrained); it is the only
+    route by which the target is evaluated.  ``to_constrained`` and
+    ``to_unconstrained`` map single parameter vectors between the flat
+    constrained layout and the sampler's coordinates.
     """
 
     dim: int
-    log_posterior_unnorm: Callable[[np.ndarray], float]
+    log_target_batch: Callable[[np.ndarray], np.ndarray]
     to_constrained: Callable[[np.ndarray], np.ndarray] = _identity
     to_unconstrained: Callable[[np.ndarray], np.ndarray] = _identity
-    log_jacobian: Callable[[np.ndarray], float] = _zero
-    log_target_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
     default_start: Optional[np.ndarray] = None
 
     def log_target(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        theta = self.to_constrained(v)
-        val = self.log_posterior_unnorm(theta) + self.log_jacobian(v)
-        return val if math.isfinite(val) else -math.inf
+        return float(self.log_target_many(np.asarray(v, dtype=float)[None])[0])
 
     def log_target_many(self, vmat) -> np.ndarray:
         vmat = np.atleast_2d(vmat)
-        if self.log_target_batch is not None:
-            with np.errstate(all="ignore"):
-                out = np.asarray(self.log_target_batch(vmat), dtype=float)
-        else:
-            out = np.array([self.log_target(v) for v in vmat])
+        with np.errstate(all="ignore"):
+            out = np.array(self.log_target_batch(vmat), dtype=float)
         out[~np.isfinite(out)] = -np.inf
         return out
 

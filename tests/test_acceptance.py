@@ -372,20 +372,6 @@ class TestCriterion8:
         _report(8, ok, "; ".join(details) + f"; {time.time()-t0:.0f}s")
 
 
-def _esnsm_params(names, theta):
-    """EsnsmParams from a constrained particle of the criterion-8/9 design
-    (outcome terms 0, 1; selection terms 0, 2)."""
-    p = dict(zip(names, theta))
-    return esnsm.EsnsmParams(
-        [[p["beta1_0"], p["beta1_1"], 0.0]],
-        [p["beta2_0"], 0.0, p["beta2_2"]],
-        [[p["sigma1"]]],
-        [p["sigma12"]],
-        [p["alpha1"], p["alpha2"]],
-        p["lambda"],
-    )
-
-
 def _average_effect(params, x, k):
     return float(np.mean([esnsm.marginal_effect(params, row, k) for row in x]))
 
@@ -429,7 +415,12 @@ class TestCriterion9:
         theta = out.constrained_particles(target)
         pick = np.random.default_rng(9).choice(theta.shape[0], 40, replace=False)
         post = np.array(
-            [_average_effect(_esnsm_params(target.param_names, t), data.x, 2) for t in theta[pick]]
+            [
+                _average_effect(
+                    esnsm.params_from_particle(target.param_names, t, data.x.shape[1]), data.x, 2
+                )
+                for t in theta[pick]
+            ]
         )
         lo, hi = np.quantile(post, [0.025, 0.975])
         band_ok = lo <= true_avg <= hi
@@ -464,7 +455,9 @@ class TestCriterion10:
         checks.append(("copy counts", copy_ok))
 
         # reweighting identity at zero temperature step
-        target = smc.TargetModel(dim=1, log_posterior_unnorm=lambda th: -0.5 * float(th @ th))
+        target = smc.TargetModel(
+            dim=1, log_target_batch=lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
+        )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = smc.ParticleSystem(
             particles=rng.normal(size=(16, 1)),
@@ -477,7 +470,9 @@ class TestCriterion10:
         # bisection clamps to one when the full step keeps ESS high
         target2 = smc.TargetModel(
             dim=1,
-            log_posterior_unnorm=lambda th: -0.5 * float(th @ th) - 0.5 * math.log(2 * math.pi),
+            log_target_batch=(
+                lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
+            ),
         )
         target2.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys2 = smc.ParticleSystem(

@@ -382,6 +382,53 @@ class TestErrorPaths:
         )
         assert run_cli(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("terms", [[0, 5], [0, 0], [0, 1.5], [], "0"])
+    def test_bad_term_list_is_config_error(self, tmp_path, terms):
+        data_path = self._selection_data(tmp_path)
+        for key in ("outcome_terms", "select_terms"):
+            cfg = write_config(
+                tmp_path / "fit.cfg",
+                {"model": "esnsm", "seed": 42, "input": str(data_path), key: terms},
+            )
+            assert run_cli(["fit", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "dump_text", ["beta1_7,sigma1,sigma12\n1.0,6.0,0.0\n", "beta1_0,sigma12\n1.0,0.0\n"]
+    )
+    def test_particle_dump_not_matching_data_is_data_error(self, tmp_path, dump_text):
+        dump = tmp_path / "dump.csv"
+        dump.write_text(dump_text)
+        cfg = write_config(
+            tmp_path / "me.cfg",
+            {"model": "esnsm", "seed": 43, "input": str(self._selection_data(tmp_path)),
+             "particle_dump": str(dump), "covariate_index": 2},
+        )
+        assert run_cli(["me", "--config", cfg]) == 3
+
+    @staticmethod
+    def _selection_data(tmp_path):
+        """A small simulated selection dataset with 3 covariate columns."""
+        data_path = tmp_path / "sel.csv"
+        cfg_sim = write_config(
+            tmp_path / "sim.cfg",
+            {
+                "model": "esnsm",
+                "seed": 41,
+                "n": 50,
+                "params": {
+                    "B": [[3.0, -2.0, 0.0]],
+                    "beta2": [1.5, 0.0, 2.0],
+                    "sigma1": 6.0,
+                    "sigma12": 0.7,
+                    "alpha": [2.0, 1.0],
+                    "lambda": -2.0,
+                },
+                "output": str(data_path),
+            },
+        )
+        assert run_cli(["simulate", "--config", cfg_sim]) == 0
+        return data_path
+
 
 class TestP2Fit:
     def test_p2_fit_parameter_names_and_schema(self, tmp_path):

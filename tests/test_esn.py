@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import kstest, norm
 
 from esnsmc import esn
-from esnsmc.errors import ParameterDomainError, UnsupportedDimensionError
+from esnsmc.errors import NumericalError, ParameterDomainError, UnsupportedDimensionError
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -43,6 +43,22 @@ class TestParamValidation:
     def test_c0_at_least_one(self):
         p = random_p1(np.random.default_rng(0), 3)
         assert p.c0 >= 1.0
+
+    def test_nan_shape_rejected(self):
+        # c0 is NaN, so the c0 >= 1 check must fail with a typed error
+        with pytest.raises(ParameterDomainError):
+            esn.EsnParamsP1([0.0], [[1.0]], [math.nan], 0.0)
+
+    def test_failed_conversion_is_numerical_error(self):
+        # omega + d d' rounds to d d', so d' sigma^{-1} d = 1
+        with pytest.raises(NumericalError):
+            esn.p2_to_p1(esn.EsnParamsP2([0.0], [[1e-300]], [1.0], 0.0))
+
+    def test_invalid_moment_summary_is_numerical_error(self):
+        with pytest.raises(NumericalError):
+            esn.MomentSummary(mean=0.0, variance=0.0, skewness=0.0, kurtosis=3.0)
+        with pytest.raises(NumericalError):
+            esn.MomentSummary(mean=0.0, variance=1.0, skewness=2.0, kurtosis=3.0)
 
 
 class TestLogpdfP1:

@@ -399,3 +399,12 @@ class TestBivariateOutcome:
                 cm = idx + float(sigma12 @ prec @ r)
                 oracle += float(norm.logcdf(cm / math.sqrt(cond_var)))
         assert esnsm.loglik(p, data) == pytest.approx(oracle, abs=1e-8)
+
+    def test_target_needs_scalar_outcome(self):
+        x = esnsm.CovariateSpec().draw(20, np.random.default_rng(41))
+        s = np.arange(20) % 2
+        y = np.where(s[:, None] == 1, 1.0, np.nan) * np.ones((20, 2))
+        data = esnsm.EsnsmData(x, s, y)
+        hyper = esnsm.EsnsmHyper.defaults(2, 3, 3, data.n)
+        with pytest.raises(DataError):
+            esnsm.make_esnsm_target(data, hyper, [0, 1, 2], [0, 1, 2])

@@ -10,15 +10,23 @@ from esnsmc.errors import NumericalError, UnsupportedDimensionError
 
 
 def bvn_quad_oracle(h, k, r):
-    """Independent oracle: adaptive 2-D quadrature of the bivariate density."""
+    """Independent oracle: adaptive 2-D quadrature of the bivariate density.
+
+    The ridge y = r x is passed to both integrations as a breakpoint; near
+    |r| = 1 the density is too narrow for the quadrature to find it alone.
+    """
+    det = 1.0 - r * r
 
     def dens(y, x):
-        det = 1.0 - r * r
         q = (x * x - 2.0 * r * x * y + y * y) / det
         return math.exp(-q / 2.0) / (2.0 * math.pi * math.sqrt(det))
 
-    val, _ = integrate.dblquad(dens, -9, h, -9, k, epsabs=1e-12)
-    return val
+    def inner(x):
+        ridge = [r * x] if -9 < r * x < k else None
+        return integrate.quad(dens, -9, k, args=(x,), points=ridge, epsabs=1e-12, limit=200)[0]
+
+    ridge = [k / r] if r != 0 and -9 < k / r < h else None
+    return integrate.quad(inner, -9, h, points=ridge, epsabs=1e-12, limit=200)[0]
 
 
 class TestUnivariate:
@@ -49,6 +57,14 @@ class TestBvn:
             (3.0, -3.0, -0.5),
             (0.2, 0.1, 0.93),
             (0.5, -2.0, -0.9967),
+            (0.0, 0.7, 0.4),
+            (-1.1, 0.0, -0.6),
+            (0.0, 0.0, -0.8),
+            (0.0, 0.0, 0.9999),
+            (0.0, 0.0, -0.9999),
+            (0.3, -0.2, 0.9999),
+            (1.0, 0.5, -0.9999),
+            (-1.3, 0.0, 0.9999),
         ],
     )
     def test_against_quadrature(self, h, k, r):
@@ -68,6 +84,18 @@ class TestBvn:
             vec = normals.bvn_cdf(h, k, r)
             sc = np.array([normals.bvn_cdf(a, b, r) for a, b in zip(h, k)])
             assert np.allclose(vec, sc, atol=1e-15)
+
+    def test_per_point_correlation_matches_scalar_calls(self):
+        # one call with a correlation per point equals one call per correlation,
+        # deep-tail points (the quadrature branch of the log) included
+        rng = np.random.default_rng(1)
+        h = np.concatenate([rng.normal(scale=2.0, size=60), [-9.0, -12.0, 0.0, 0.0]])
+        k = np.concatenate([rng.normal(scale=2.0, size=60), [-8.0, 3.0, 0.0, 1.5]])
+        r = np.concatenate([rng.uniform(-0.9999, 0.9999, size=60), [0.5, -0.9, 0.99, -0.3]])
+        per_call = [normals.log_bvn_cdf(h[i], k[i], r[i]) for i in range(h.size)]
+        assert np.array_equal(normals.log_bvn_cdf(h, k, r), per_call)
+        per_call = [normals.bvn_cdf(h[i], k[i], r[i]) for i in range(h.size)]
+        assert np.array_equal(normals.bvn_cdf(h, k, r), per_call)
 
     def test_infinite_limits(self):
         assert normals.bvn_cdf(np.inf, 0.3, 0.5) == pytest.approx(

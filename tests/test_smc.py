@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from esnsmc import model_select, models, priors, smc
-from esnsmc.errors import DegenerateSystemError, InitializationError
+from esnsmc import esn, esnsm, model_select, models, priors, smc
+from esnsmc.errors import DegenerateSystemError, InitializationError, ParameterDomainError
 
 
 def gaussian_target(dim=1, mean=0.0, var=1.0):
     mean_vec = np.full(dim, mean)
     prec = np.eye(dim) / var
 
-    def log_post(theta):
-        u = theta - mean_vec
-        return -0.5 * float(u @ prec @ u)
-
     def batch(vmat):
         u = vmat - mean_vec
         return -0.5 * np.sum((u @ prec) * u, axis=1)
 
-    return smc.TargetModel(dim=dim, log_posterior_unnorm=log_post, log_target_batch=batch)
+    return smc.TargetModel(dim=dim, log_target_batch=batch)
 
 
 def make_system(log_weights, particles=None, rho=0.0):
@@ -67,12 +63,10 @@ class TestReweight:
         target = gaussian_target()
         norm_const = -0.5 * math.log(2 * math.pi)
 
-        def log_post(theta):
-            u = theta
-            return -0.5 * float(u @ u) + norm_const
+        def batch(vmat):
+            return -0.5 * np.sum(vmat * vmat, axis=1) + norm_const
 
-        target.log_posterior_unnorm = log_post
-        target.log_target_batch = None
+        target.log_target_batch = batch
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = make_system(np.full(6, -math.log(6)), np.linspace(-2, 2, 6)[:, None])
         lw = smc.reweight(sys, target, 0.7)
@@ -101,8 +95,7 @@ class TestNextTemperature:
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         # pi identical to eta1 up to the normalising constant: ESS stays N
-        target.log_posterior_unnorm = lambda th: -0.5 * float(th @ th)
-        target.log_target_batch = None
+        target.log_target_batch = lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
         sys = make_system(np.full(16, -math.log(16)), np.random.default_rng(0).normal(size=(16, 1)))
         cfg = smc.SmcConfig(n_particles=16, seed=0)
         assert smc.next_temperature(sys, target, cfg) == 1.0
@@ -200,8 +193,9 @@ class TestSystematicResample:
 class TestEvidenceIncrement:
     def test_target_equals_eta1(self):
         target = gaussian_target()
-        target.log_posterior_unnorm = lambda th: -0.5 * float(th @ th) - 0.5 * math.log(2 * math.pi)
-        target.log_target_batch = None
+        target.log_target_batch = (
+            lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
+        )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = make_system(np.full(4, -math.log(4)), np.random.default_rng(0).normal(size=(4, 1)))
         assert smc.evidence_increment(sys, target, 0.0, 0.6) == pytest.approx(0.0, abs=1e-12)
@@ -284,8 +278,9 @@ class TestRwmhPropagate:
 class TestRun:
     def test_target_equal_eta1_single_stage(self):
         target = gaussian_target()
-        target.log_posterior_unnorm = lambda th: -0.5 * float(th @ th) - 0.5 * math.log(2 * math.pi)
-        target.log_target_batch = None
+        target.log_target_batch = (
+            lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
+        )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         out = smc.run(target, smc.SmcConfig(n_particles=500, seed=1))
         assert out.n_stages == 1
@@ -342,8 +337,6 @@ class TestRun:
 
     def test_acceptance_controller_band_on_esn_benchmark(self):
         # benchmark configuration: Eq.-(5)-style data, default particle count
-        from esnsmc import esn
-
         rng = np.random.default_rng(12)
         data = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 1000, rng)[:, 0]
         h1, _ = priors.default_hyper(1)
@@ -376,11 +369,11 @@ class TestLaplaceInit:
         assert np.allclose(eta.cov, 2.5 * np.eye(2), atol=1e-3)
 
     def test_logistic_shaped_mode_matches_grid(self):
-        def log_post(theta):
-            x = theta[0]
-            return 3.0 * (-math.log1p(math.exp(-x))) + (-math.log1p(math.exp(0.8 * x)))
+        def batch(vmat):
+            x = vmat[:, 0]
+            return 3.0 * (-np.log1p(np.exp(-x))) + (-np.log1p(np.exp(0.8 * x)))
 
-        target = smc.TargetModel(dim=1, log_posterior_unnorm=log_post)
+        target = smc.TargetModel(dim=1, log_target_batch=batch)
         eta = smc.laplace_init(target, np.array([0.3]))
         grid = np.linspace(-10, 10, 400_001)
         vals = 3.0 * (-np.log1p(np.exp(-grid))) - np.log1p(np.exp(0.8 * grid))
@@ -398,7 +391,7 @@ class TestLaplaceInit:
         assert wide.cov[0, 0] == pytest.approx(4.0 * base.cov[0, 0], rel=1e-10)
 
     def test_infinite_start_rejected(self):
-        target = smc.TargetModel(dim=1, log_posterior_unnorm=lambda th: -math.inf)
+        target = smc.TargetModel(dim=1, log_target_batch=lambda vmat: np.full(len(vmat), -np.inf))
         with pytest.raises(InitializationError):
             smc.laplace_init(target, np.zeros(1))
 
@@ -448,26 +441,101 @@ class TestHypothesisProperties:
         assert 1.0 - 1e-9 <= val <= len(lw) + 1e-9
 
 
+def _fd_log_jacobian(target, v, step=1e-4):
+    """log |det d(to_constrained)/dv| by central differences."""
+    cols = []
+    for j in range(v.size):
+        e = np.zeros(v.size)
+        e[j] = step * max(1.0, abs(v[j]))
+        cols.append((target.to_constrained(v + e) - target.to_constrained(v - e)) / (2 * e[j]))
+    return np.linalg.slogdet(np.column_stack(cols))[1]
+
+
+def _iid_params(theta, d, cls):
+    sigma = np.zeros((d, d))
+    sigma[np.tril_indices(d)] = theta[d : d + d * (d + 1) // 2]
+    sigma = sigma + sigma.T - np.diag(np.diag(sigma))
+    if cls is None:  # Gaussian: the ESN with zero shape and shift
+        return esn.EsnParamsP1(theta[:d], sigma, np.zeros(d), 0.0)
+    return cls(theta[:d], sigma, theta[-d - 1 : -1], theta[-1])
+
+
 class TestBatchConsistency:
-    """Vectorised particle evaluators must agree with the scalar route."""
+    """Each target's batch against its scalar oracle: the public scalar
+    log-likelihood plus log-prior at the constrained point, plus the
+    log-Jacobian taken by central differences of ``to_constrained``."""
+
+    def _check(self, target, log_post, vmat):
+        with np.errstate(all="ignore"):
+            batch = target.log_target_batch(vmat)
+        oracle = []
+        for v in vmat:
+            try:
+                oracle.append(log_post(target.to_constrained(v)) + _fd_log_jacobian(target, v))
+            except (ParameterDomainError, np.linalg.LinAlgError):
+                oracle.append(-math.inf)
+        oracle = np.array(oracle)
+        ok = (np.isneginf(batch) & np.isneginf(oracle)) | np.isclose(
+            batch, oracle, atol=1e-6, rtol=1e-10
+        )
+        assert ok.all(), np.column_stack([batch, oracle])[~ok]
 
     def test_iid_model_batches_match_scalar(self):
-        from esnsmc import esn
+        for model in ("p1", "p2", "gaussian"):
+            for d in (1, 2):
+                self._check(*self._iid_case(model, d))
 
-        rng = np.random.default_rng(30)
-        z1 = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 200, rng)[:, 0]
-        h1, h2 = priors.default_hyper(1)
-        cases = [
-            (models.make_iid_esn_target(z1, h1, "p1"),
-             np.column_stack([rng.normal(2, 0.5, 40), rng.normal(0.9, 0.2, 40),
-                              rng.normal(5, 1, 40), rng.normal(-2, 1, 40)])),
-            (models.make_iid_esn_target(z1, h2, "p2"),
-             np.column_stack([rng.normal(2, 0.5, 40), rng.normal(0, 0.4, 40),
-                              rng.normal(4, 1, 40), rng.normal(-0.8, 0.5, 40)])),
-            (models.make_gaussian_target(z1, h1),
-             np.column_stack([rng.normal(2, 0.5, 40), rng.normal(0.9, 0.2, 40)])),
-        ]
-        for target, vmat in cases:
-            batch = target.log_target_batch(vmat)
-            scalar = np.array([target.log_target(v) for v in vmat])
-            assert np.allclose(batch, scalar, atol=1e-9)
+    @staticmethod
+    def _iid_case(model, d):
+        rng = np.random.default_rng(30 + d)
+        z = esn.sample(
+            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+            200, rng,
+        )
+        h1, h2 = priors.default_hyper(d)
+        if model == "gaussian":
+            target = models.make_gaussian_target(z, h1)
+
+            def log_post(theta):
+                p = _iid_params(theta, d, None)
+                return esn.loglik(p, z) + priors.niw_logpdf(
+                    p.xi, p.sigma, h1.xi0, h1.kappa, h1.nu, h1.V
+                )
+        else:
+            hyper = h1 if model == "p1" else h2
+            target = models.make_iid_esn_target(z, hyper, model)
+            cls = esn.EsnParamsP1 if model == "p1" else esn.EsnParamsP2
+            prior = priors.log_prior_p1 if model == "p1" else priors.log_prior_p2
+
+            def log_post(theta):
+                p = _iid_params(theta, d, cls)
+                return esn.loglik(p, z) + prior(p, hyper)
+
+        vmat = target.default_start + 0.3 * rng.normal(size=(40, target.dim))
+        if model != "gaussian":
+            # shift (p1) or truncation (p2) deep in both tails
+            vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]
+        return target, log_post, vmat
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_batch_matches_scalar(self, gaussian_errors):
+        rng = np.random.default_rng(32)
+        truth = esnsm.EsnsmParams(
+            [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
+        )
+        data = esnsm.simulate(truth, 300, esnsm.CovariateSpec(), rng)
+        hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
+        target = esnsm.make_esnsm_target(data, hyper, [0, 1], [0, 2], gaussian_errors)
+
+        def log_post(theta):
+            p = esnsm.params_from_particle(target.param_names, theta, 3)
+            return esnsm.loglik(p, data) + esnsm.log_prior_esnsm(p, hyper, data.x, [0, 1], [0, 2])
+
+        vmat = target.default_start + 0.3 * rng.normal(size=(30, target.dim))
+        # error correlation tanh(w) within 1e-12 and 1e-9 of +-1
+        w = target.param_names.index("sigma12")
+        edge = math.atanh(1.0 - 1e-12)
+        vmat[:4, w] = [edge, -edge, math.atanh(1.0 - 1e-9), -math.atanh(1.0 - 1e-9)]
+        if not gaussian_errors:
+            vmat[4:8, -1] = [40.0, -40.0, 25.0, -25.0]
+        self._check(target, log_post, vmat)
