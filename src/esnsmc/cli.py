@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -63,7 +64,16 @@ def load_config(path: str, overrides: dict) -> dict:
 def _require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("a seed is required")
-    return int(cfg["seed"])
+    return _setting(cfg, "seed", None, int)
+
+
+def _setting(cfg: dict, key: str, default, kind):
+    """``cfg[key]`` (or ``default``) converted by ``kind``; a value that does
+    not convert is a configuration error."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key}: {cfg.get(key)!r}") from exc
 
 
 def _build_hyper(cfg: dict, d: int):
@@ -71,19 +81,17 @@ def _build_hyper(cfg: dict, d: int):
     over = cfg.get("hyper", {})
     if not isinstance(over, dict):
         raise ConfigError("hyper must be an object")
-    for key, val in over.items():
-        if hasattr(h1, key):
-            cur = getattr(h1, key)
-            setattr(h1, key, np.asarray(val, float) if isinstance(cur, np.ndarray) else float(val))
-        elif hasattr(h2, key):
-            cur = getattr(h2, key)
-            setattr(h2, key, np.asarray(val, float) if isinstance(cur, np.ndarray) else float(val))
-        else:
-            raise ConfigError(f"unknown hyperparameter {key!r}")
     try:
+        for key, val in over.items():
+            owner = h1 if hasattr(h1, key) else h2 if hasattr(h2, key) else None
+            if owner is None:
+                raise ConfigError(f"unknown hyperparameter {key!r}")
+            cur = getattr(owner, key)
+            val = np.asarray(val, float) if isinstance(cur, np.ndarray) else float(val)
+            setattr(owner, key, val)
         h1.__post_init__()
         h2.__post_init__()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid hyperparameters: {exc}") from exc
     return h1, h2
 
@@ -121,21 +129,31 @@ def write_iid_csv(path: str, data: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def read_iid_csv(path: str) -> np.ndarray:
+def _read_csv(path: str, what: str):
+    """Header and non-empty rows of a CSV file; a missing file, or one with
+    no header or no rows, is a data error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            if not all(h.startswith("y") for h in header):
-                raise DataError(f"unexpected IID data header: {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = [row for row in reader if row]
     except FileNotFoundError as exc:
-        raise DataError(f"dataset not found: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed dataset: {exc}") from exc
+        raise DataError(f"{what} not found: {path}") from exc
+    except StopIteration as exc:
+        raise DataError(f"{what} is empty") from exc
     if not rows:
-        raise DataError("dataset is empty")
-    return np.asarray(rows)
+        raise DataError(f"{what} has no data rows")
+    return header, rows
+
+
+def read_iid_csv(path: str) -> np.ndarray:
+    header, rows = _read_csv(path, "dataset")
+    if not all(h.startswith("y") for h in header):
+        raise DataError(f"unexpected IID data header: {header}")
+    try:
+        return np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:  # a non-number or a ragged row
+        raise DataError(f"malformed dataset: {exc}") from exc
 
 
 def write_esnsm_csv(path: str, data: esnsm.EsnsmData) -> None:
@@ -154,27 +172,19 @@ def write_esnsm_csv(path: str, data: esnsm.EsnsmData) -> None:
 
 
 def read_esnsm_csv(path: str) -> esnsm.EsnsmData:
+    header, rows = _read_csv(path, "dataset")
+    xs = [h for h in header if h.startswith("x")]
+    ys = [h for h in header if h.startswith("y")]
+    if "s" not in header or not xs or not ys:
+        raise DataError(f"unexpected selection-data header: {header}")
+    s_col = header.index("s")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            xs = [h for h in header if h.startswith("x")]
-            ys = [h for h in header if h.startswith("y")]
-            if "s" not in header or not xs or not ys:
-                raise DataError(f"unexpected selection-data header: {header}")
-            s_col = header.index("s")
-            rows = [row for row in reader if row]
-            x = np.array([[float(v) for v in row[: len(xs)]] for row in rows])
-            s = np.array([int(row[s_col]) for row in rows])
-            y = np.array(
-                [
-                    [float(v) if v != "" else np.nan for v in row[s_col + 1 :]]
-                    for row in rows
-                ]
-            )
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset not found: {path}") from exc
-    except ValueError as exc:
+        x = np.array([[float(v) for v in row[: len(xs)]] for row in rows])
+        s = np.array([int(row[s_col]) for row in rows])
+        y = np.array(
+            [[float(v) if v != "" else np.nan for v in row[s_col + 1 :]] for row in rows]
+        )
+    except (ValueError, IndexError) as exc:
         raise DataError(f"malformed dataset: {exc}") from exc
     return esnsm.EsnsmData(x, s, y)
 
@@ -188,16 +198,11 @@ def _write_particles_csv(path: str, theta: np.ndarray, names: list[str]) -> None
 
 
 def _read_particles_csv(path: str):
+    names, rows = _read_csv(path, "particle dump")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            names = next(reader)
-            theta = np.array([[float(v) for v in row] for row in reader if row])
-    except FileNotFoundError as exc:
-        raise DataError(f"particle dump not found: {path}") from exc
+        return names, np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise DataError(f"malformed particle dump: {exc}") from exc
-    return names, theta
 
 
 def _emit(cfg: dict, payload: dict) -> None:
@@ -215,7 +220,7 @@ def _stage_log(result: smc.SmcResult) -> list[dict]:
     identical seeds produce identical bytes."""
     out = []
     for rec in result.diagnostics:
-        d = rec.as_dict()
+        d = asdict(rec)
         d.pop("wall_time_ms")
         out.append(d)
     return out
@@ -223,15 +228,18 @@ def _stage_log(result: smc.SmcResult) -> list[dict]:
 
 def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
     band = cfg.get("acceptance_band", (0.2, 0.6))
-    return smc.SmcConfig(
-        n_particles=int(cfg.get("particles", 10_000)),
-        ess_threshold_fraction=float(cfg.get("ess_threshold_fraction", 0.5)),
-        mh_steps=int(cfg.get("mh_steps", 3)),
-        bisect_epsilon=float(cfg.get("bisect_epsilon", 1e-4)),
-        scale_init=cfg.get("scale_init"),
-        acceptance_band=(float(band[0]), float(band[1])),
-        seed=seed,
-    )
+    try:
+        return smc.SmcConfig(
+            n_particles=int(cfg.get("particles", 10_000)),
+            ess_threshold_fraction=float(cfg.get("ess_threshold_fraction", 0.5)),
+            mh_steps=int(cfg.get("mh_steps", 3)),
+            bisect_epsilon=float(cfg.get("bisect_epsilon", 1e-4)),
+            scale_init=cfg.get("scale_init"),
+            acceptance_band=(float(band[0]), float(band[1])),
+            seed=seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sampler settings: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -239,7 +247,7 @@ def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
 
 def cmd_simulate(cfg: dict) -> None:
     seed = _require_seed(cfg)
-    n = int(cfg.get("n", 1000))
+    n = _setting(cfg, "n", 1000, int)
     out = cfg.get("output")
     if not out:
         raise ConfigError("simulate needs an output path")
@@ -263,15 +271,7 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int) -> dict:
     """Conjugate path: summaries from the exact posterior, no sampler."""
     d = data.shape[1]
     h1, _ = _build_hyper(cfg, d)
-    n = data.shape[0]
-    zbar = data.mean(axis=0)
-    centred = data - zbar
-    kappa_n = h1.kappa + n
-    nu_n = h1.nu + n
-    xi_n = (h1.kappa * h1.xi0 + n * zbar) / kappa_n
-    v_n = h1.V + centred.T @ centred + (h1.kappa * n / kappa_n) * np.outer(
-        zbar - h1.xi0, zbar - h1.xi0
-    )
+    kappa_n, nu_n, xi_n, v_n = model_select.niw_posterior(data, h1)
     rng = np.random.default_rng(seed)
     n_draws = 100_000
     sig = invwishart.rvs(df=nu_n, scale=v_n, size=n_draws, random_state=rng)
@@ -315,6 +315,13 @@ def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
 
 def _run_smc_fit(cfg: dict, seed: int):
     model = cfg["model"]
+    config = _smc_config(cfg, seed)
+    inflation = _setting(cfg, "eta1_inflation", 4.0, float)
+    pilot_iters = _setting(cfg, "pilot_iterations", 10_000, int)
+    if not 0.0 < inflation < math.inf:
+        raise ConfigError(f"eta1_inflation must be positive and finite, got {inflation}")
+    if pilot_iters < 1000:
+        raise ConfigError(f"pilot_iterations must be at least 1000, got {pilot_iters}")
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
@@ -335,8 +342,6 @@ def _run_smc_fit(cfg: dict, seed: int):
         )
         init = cfg.get("init", "laplace")
 
-    inflation = float(cfg.get("eta1_inflation", 4.0))
-    pilot_iters = int(cfg.get("pilot_iterations", 10_000))
     init_ss = np.random.SeedSequence([seed, 0xE7A1])
     if init == "laplace":
         try:
@@ -352,7 +357,7 @@ def _run_smc_fit(cfg: dict, seed: int):
         )
     else:
         raise ConfigError(f"unknown init {init!r}")
-    result = smc.run(target, _smc_config(cfg, seed))
+    result = smc.run(target, config)
     n_obs = data.n if model == "esnsm" else data.shape[0]
     return target, result, n_obs
 
@@ -450,7 +455,7 @@ def cmd_marginal_effects(cfg: dict) -> None:
         params = esnsm.params_from_particle(names, theta.mean(axis=0), data.x.shape[1])
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"particle dump does not match the selection data: {exc!r}") from exc
-    k = int(cfg.get("covariate_index", data.x.shape[1] - 1))
+    k = _setting(cfg, "covariate_index", data.x.shape[1] - 1, int)
     if not 0 <= k < data.x.shape[1]:
         raise ConfigError("covariate_index out of range")
     effects = np.array(

@@ -12,6 +12,7 @@ __all__ = [
     "CATEGORIES",
     "EvidenceComparison",
     "log_mv_gamma",
+    "niw_posterior",
     "gaussian_log_evidence",
     "classify_bayes_factor",
 ]
@@ -40,14 +41,27 @@ def log_mv_gamma(d: int, x: float) -> float:
     return float(d * (d - 1) / 4.0 * math.log(math.pi) + gammaln(x + (1.0 - j) / 2.0).sum())
 
 
+def niw_posterior(z: np.ndarray, hyper):
+    """Normal-inverse-Wishart posterior (kappa_n, nu_n, xi_n, V_n) for the rows
+    of ``z`` (n, d); V_n adds the centred scatter and the shrunken offset."""
+    n = z.shape[0]
+    zbar = z.mean(axis=0)
+    centred = z - zbar
+    offset = zbar - hyper.xi0
+    kappa_n = hyper.kappa + n
+    nu_n = hyper.nu + n
+    xi_n = (hyper.kappa * hyper.xi0 + n * zbar) / kappa_n
+    v_n = hyper.V + centred.T @ centred + (hyper.kappa * n / kappa_n) * np.outer(offset, offset)
+    return kappa_n, nu_n, xi_n, v_n
+
+
 def gaussian_log_evidence(data, hyper) -> float:
     """Marginal likelihood of IID Gaussian data under the conjugate
     normal-inverse-Wishart prior.
 
     log m0 = -(nd/2) log pi + log Gamma_d(nu_n/2) - log Gamma_d(nu/2)
              + (nu/2) log|V| - (nu_n/2) log|V_n| + (d/2)(log kappa - log kappa_n)
-    with kappa_n = kappa + n, nu_n = nu + n and V_n the prior scale plus the
-    centred scatter plus the shrunken mean-offset outer product.
+    with kappa_n, nu_n and V_n from ``niw_posterior``.
     """
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
@@ -57,13 +71,7 @@ def gaussian_log_evidence(data, hyper) -> float:
         raise ValueError("need at least one observation")
     if hyper.xi0.shape[0] != d:
         raise ValueError("hyperparameter dimension does not match the data")
-    zbar = z.mean(axis=0)
-    centred = z - zbar
-    scatter = centred.T @ centred
-    offset = zbar - hyper.xi0
-    kappa_n = hyper.kappa + n
-    nu_n = hyper.nu + n
-    v_n = hyper.V + scatter + (hyper.kappa * n / kappa_n) * np.outer(offset, offset)
+    kappa_n, nu_n, _, v_n = niw_posterior(z, hyper)
     _, logdet_v = np.linalg.slogdet(hyper.V)
     _, logdet_vn = np.linalg.slogdet(v_n)
     return (

@@ -116,12 +116,6 @@ class TargetModel:
         out[~np.isfinite(out)] = -np.inf
         return out
 
-    def eta1_logpdf(self, v) -> float:
-        return self._eta1().logpdf(v)
-
-    def eta1_sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self._eta1().sample(rng, 1)[0]
-
     def _eta1(self) -> GaussianInit:
         if self.eta1 is None:
             raise InitializationError("target has no initial distribution attached")
@@ -137,27 +131,23 @@ class StageRecord:
     log_evidence_increment: float
     wall_time_ms: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "ess": self.ess,
-            "acceptance_rate": self.acceptance_rate,
-            "scale": self.scale,
-            "log_evidence_increment": self.log_evidence_increment,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
 
 @dataclass
 class ParticleSystem:
-    """Weighted particle population in unconstrained coordinates."""
+    """Weighted particle population in unconstrained coordinates.
+
+    Each particle carries its log target ``log_pi`` and its log eta1
+    density ``log_eta``, computed once when the particle is proposed; the
+    step functions read them and never evaluate the target.
+    """
 
     particles: np.ndarray
     log_weights: np.ndarray
+    log_pi: np.ndarray
+    log_eta: np.ndarray
     rho: float = 0.0
     log_evidence_acc: float = 0.0
     history: list[StageRecord] = field(default_factory=list)
-    log_ratio: Optional[np.ndarray] = None  # log pi - log eta1 per particle
     proposal_cov: Optional[np.ndarray] = None
     scale: float = 1.0
     last_acceptance: float = 0.0
@@ -165,6 +155,11 @@ class ParticleSystem:
     @property
     def n(self) -> int:
         return self.particles.shape[0]
+
+    @property
+    def log_ratio(self) -> np.ndarray:
+        """log pi - log eta1 per particle."""
+        return self.log_pi - self.log_eta
 
     def normalized_weights(self) -> np.ndarray:
         lw = self.log_weights
@@ -196,6 +191,8 @@ class SmcConfig:
         lo, hi = self.acceptance_band
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("acceptance_band must satisfy 0 <= lo < hi <= 1")
+        if self.scale_init is not None and not 0.0 < self.scale_init < math.inf:
+            raise ValueError("scale_init must be positive and finite")
 
 
 @dataclass
@@ -223,26 +220,16 @@ def ess(log_weights) -> float:
     return float(1.0 / np.sum(w * w))
 
 
-def _ensure_log_ratio(system: ParticleSystem, target: TargetModel) -> np.ndarray:
-    if system.log_ratio is None:
-        eta = target._eta1()
-        system.log_ratio = target.log_target_many(system.particles) - eta.logpdf_batch(
-            system.particles
-        )
-    return system.log_ratio
-
-
-def reweight(system: ParticleSystem, target: TargetModel, rho_new: float) -> np.ndarray:
+def reweight(system: ParticleSystem, rho_new: float) -> np.ndarray:
     """Normalised log-weights for moving the system from its temperature to
     rho_new: increment (rho_new - rho) * (log pi - log eta1) per particle."""
     if not system.rho <= rho_new <= 1.0:
         raise ValueError("rho_new must lie in [system.rho, 1]")
-    lr = _ensure_log_ratio(system, target)
-    lw = system.log_weights + (rho_new - system.rho) * lr
+    lw = system.log_weights + (rho_new - system.rho) * system.log_ratio
     return lw - logsumexp(lw)
 
 
-def next_temperature(system: ParticleSystem, target: TargetModel, config: SmcConfig) -> float:
+def next_temperature(system: ParticleSystem, config: SmcConfig) -> float:
     """Largest admissible next temperature.
 
     Returns 1 outright when the full step keeps the effective sample size
@@ -254,7 +241,7 @@ def next_temperature(system: ParticleSystem, target: TargetModel, config: SmcCon
     if system.rho >= 1.0:
         raise ValueError("temperature ladder already complete")
     beta = config.ess_threshold_fraction * system.n
-    lr = _ensure_log_ratio(system, target)
+    lr = system.log_ratio
 
     def ess_at(rho):
         return ess(system.log_weights + (rho - system.rho) * lr)
@@ -286,14 +273,11 @@ def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
     return np.searchsorted(cum, positions, side="left")
 
 
-def evidence_increment(
-    system: ParticleSystem, target: TargetModel, rho_prev: float, rho_new: float
-) -> float:
+def evidence_increment(system: ParticleSystem, rho_prev: float, rho_new: float) -> float:
     """log of sum_m W_m(rho_prev) * [pi/eta1]^(rho_new - rho_prev) at the
     current particles, evaluated stably in log space."""
-    lr = _ensure_log_ratio(system, target)
     lw = system.log_weights - logsumexp(system.log_weights)
-    return float(logsumexp(lw + (rho_new - rho_prev) * lr))
+    return float(logsumexp(lw + (rho_new - rho_prev) * system.log_ratio))
 
 
 def _proposal_chol(cov: np.ndarray, scale: float) -> np.ndarray:
@@ -318,7 +302,9 @@ def rwmh_propagate(
     the weighted pre-resampling particle covariance there) scaled by
     ``system.scale``; a singular covariance falls back to its diagonal
     plus a 1e-8 ridge.  Acceptance uses the bridge density in
-    unconstrained coordinates, Jacobian included.
+    unconstrained coordinates, Jacobian included; the current particles'
+    values come from ``system.log_pi`` and ``system.log_eta``, and the
+    accepted proposals' values are written back there.
     """
     eta = target._eta1()
     x = system.particles
@@ -328,8 +314,8 @@ def rwmh_propagate(
         cov = _weighted_cov(x, w)
     chol = _proposal_chol(cov, system.scale)
 
-    cur_eta = eta.logpdf_batch(x)
-    cur_pi = target.log_target_many(x)
+    cur_eta = system.log_eta
+    cur_pi = system.log_pi
     cur = (1.0 - rho) * cur_eta + rho * cur_pi
     n, dim = x.shape
     accepted = 0
@@ -346,7 +332,8 @@ def rwmh_propagate(
         cur_pi = np.where(acc, prop_pi, cur_pi)
         accepted += int(acc.sum())
     system.particles = x
-    system.log_ratio = cur_pi - cur_eta
+    system.log_pi = cur_pi
+    system.log_eta = cur_eta
     system.last_acceptance = accepted / (config.mh_steps * n)
     return system
 
@@ -357,32 +344,25 @@ def _weighted_cov(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (centred * w[:, None]).T @ centred
 
 
-def run(target: TargetModel, config: SmcConfig, rng=None) -> SmcResult:
+def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     """Execute the full tempering loop and return particles, log-evidence
     and per-stage diagnostics.
 
     All randomness derives from config.seed through per-stage child
-    streams, so a run is reproducible bit for bit; passing ``rng``
-    replaces the root seed sequence (reproducibility then rests on the
-    caller).
+    streams, so a run is reproducible bit for bit.
     """
     eta = target._eta1()
-    ss = np.random.SeedSequence(config.seed) if rng is None else None
-    def stage_stream():
-        if ss is not None:
-            return np.random.default_rng(ss.spawn(1)[0])
-        return rng
-
+    ss = np.random.SeedSequence(config.seed)
     n = config.n_particles
-    init_rng = stage_stream()
-    particles = eta.sample(init_rng, n)
+    particles = eta.sample(np.random.default_rng(ss.spawn(1)[0]), n)
     system = ParticleSystem(
         particles=particles,
         log_weights=np.full(n, -math.log(n)),
+        log_pi=target.log_target_many(particles),
+        log_eta=eta.logpdf_batch(particles),
         rho=0.0,
         scale=config.scale_init if config.scale_init is not None else 2.38**2 / target.dim,
     )
-    _ensure_log_ratio(system, target)
 
     while system.rho < 1.0:
         if len(system.history) >= config.max_stages:
@@ -391,24 +371,24 @@ def run(target: TargetModel, config: SmcConfig, rng=None) -> SmcResult:
                 f"stalled at rho = {system.rho:.6f}"
             )
         t0 = time.perf_counter()
-        srng = stage_stream()
-        rho_new = next_temperature(system, target, config)
-        increment = evidence_increment(system, target, system.rho, rho_new)
+        srng = np.random.default_rng(ss.spawn(1)[0])
+        rho_new = next_temperature(system, config)
+        increment = evidence_increment(system, system.rho, rho_new)
         system.log_evidence_acc += increment
-        lw_new = reweight(system, target, rho_new)
+        lw_new = reweight(system, rho_new)
         stage_ess = ess(lw_new)
 
         # proposal covariance from the weighted (pre-resampling) population
         cov = _weighted_cov(system.particles, np.exp(lw_new))
         idx = systematic_resample(lw_new, srng)
         system.particles = system.particles[idx]
-        system.log_ratio = system.log_ratio[idx]
+        system.log_pi = system.log_pi[idx]
+        system.log_eta = system.log_eta[idx]
         system.log_weights = np.full(n, -math.log(n))
         system.proposal_cov = cov
         system.rho = rho_new
 
         rwmh_propagate(system, target, rho_new, config, srng)
-        _ensure_log_ratio(system, target)
         acc = system.last_acceptance
         system.history.append(
             StageRecord(

@@ -459,12 +459,15 @@ class TestCriterion10:
             dim=1, log_target_batch=lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
         )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
+        x = rng.normal(size=(16, 1))
         sys = smc.ParticleSystem(
-            particles=rng.normal(size=(16, 1)),
+            particles=x,
             log_weights=np.full(16, -math.log(16)),
+            log_pi=target.log_target_many(x),
+            log_eta=target.eta1.logpdf_batch(x),
             rho=0.3,
         )
-        lw = smc.reweight(sys, target, 0.3)
+        lw = smc.reweight(sys, 0.3)
         checks.append(("zero-step reweight", bool(np.allclose(lw, -math.log(16)))))
 
         # bisection clamps to one when the full step keeps ESS high
@@ -475,12 +478,15 @@ class TestCriterion10:
             ),
         )
         target2.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
+        x2 = rng.normal(size=(64, 1))
         sys2 = smc.ParticleSystem(
-            particles=rng.normal(size=(64, 1)),
+            particles=x2,
             log_weights=np.full(64, -math.log(64)),
+            log_pi=target2.log_target_many(x2),
+            log_eta=target2.eta1.logpdf_batch(x2),
             rho=0.0,
         )
-        rho_next = smc.next_temperature(sys2, target2, smc.SmcConfig(n_particles=64, seed=0))
+        rho_next = smc.next_temperature(sys2, smc.SmcConfig(n_particles=64, seed=0))
         checks.append(("clamp to 1", rho_next == 1.0))
 
         # whole-run determinism under a fixed seed

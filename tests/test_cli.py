@@ -361,13 +361,70 @@ class TestErrorPaths:
         )
         assert run_cli(["fit", "--config", cfg]) == 3
 
-    def test_malformed_dataset_is_data_error(self, tmp_path):
-        data = tmp_path / "bad.csv"
-        data.write_text("y1\n1.0\nnot-a-number\n")
-        cfg = write_config(
-            tmp_path / "bad.cfg", {"model": "esn-p1", "seed": 1, "input": str(data)}
-        )
-        assert run_cli(["fit", "--config", cfg]) == 3
+    @pytest.mark.parametrize(
+        "command, model, dataset, dump",
+        [
+            pytest.param("fit", "esn-p1", "y1\n1.0\nnot-a-number\n", None, id="non-number"),
+            pytest.param("fit", "esn-p1", "", None, id="empty-iid"),
+            pytest.param("fit", "esn-p1", "y1,y2\n1.0,2.0\n3.0\n", None, id="ragged-iid"),
+            pytest.param("fit", "esnsm", "", None, id="empty-selection"),
+            pytest.param("fit", "esnsm", "x1,x2,x3,s,y1\n1,0.5,0.2\n", None, id="short-selection"),
+            pytest.param("me", "esnsm", None, "", id="empty-particle-dump"),
+            pytest.param("me", "esnsm", None, "beta1_0,sigma1\n", id="header-only-particle-dump"),
+        ],
+    )
+    def test_malformed_dataset_is_data_error(self, tmp_path, command, model, dataset, dump):
+        cfg = {"model": model, "seed": 1}
+        if dataset is None:
+            cfg["input"] = str(self._selection_data(tmp_path))
+        else:
+            (tmp_path / "bad.csv").write_text(dataset)
+            cfg["input"] = str(tmp_path / "bad.csv")
+        if dump is not None:
+            (tmp_path / "dump.csv").write_text(dump)
+            cfg["particle_dump"] = str(tmp_path / "dump.csv")
+        assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("fit", {"particles": 1}),
+            ("fit", {"particles": "many"}),
+            ("fit", {"mh_steps": 0}),
+            ("fit", {"ess_threshold_fraction": 1.5}),
+            ("fit", {"acceptance_band": 0.3}),
+            ("fit", {"scale_init": "x"}),
+            ("fit", {"scale_init": 0}),
+            ("fit", {"eta1_inflation": -1}),
+            ("fit", {"model": "esnsm", "pilot_iterations": 10}),
+            ("me", {"covariate_index": "two"}),
+            ("simulate", {"n": "ten"}),
+            ("fit", {"seed": "abc"}),
+            ("fit", {"hyper": {"kappa": "x"}}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
+    )
+    def test_invalid_setting_is_config_error(self, tmp_path, command, settings):
+        # a fit checks its settings before it reads the (absent) dataset,
+        # which would otherwise be a data error
+        cfg = {"model": "esn-p1", "seed": 1, "input": str(tmp_path / "absent.csv")}
+        if command == "me":
+            dump = tmp_path / "dump.csv"
+            dump.write_text(
+                "beta1_0,beta1_1,beta1_2,beta2_0,beta2_1,beta2_2,"
+                "sigma1,sigma12,alpha1,alpha2,lambda\n"
+                "3.0,-2.0,0.0,1.5,0.0,2.0,6.0,0.7,2.0,1.0,-2.0\n"
+            )
+            cfg.update(model="esnsm", input=str(self._selection_data(tmp_path)),
+                       particle_dump=str(dump))
+        elif command == "simulate":
+            cfg.update(params={"xi": 2.0, "sigma": 6.0, "alpha": 5.0, "lambda": -2.0},
+                       output=str(tmp_path / "sim.csv"))
+        if "hyper" in settings:  # checked once the data's dimension is known
+            (tmp_path / "data.csv").write_text("y1\n1.0\n2.0\n3.5\n")
+            cfg["input"] = str(tmp_path / "data.csv")
+        cfg.update(settings)
+        assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg)]) == 2
 
     def test_invalid_simulation_params_is_config_error(self, tmp_path):
         cfg = write_config(

@@ -18,12 +18,19 @@ def gaussian_target(dim=1, mean=0.0, var=1.0):
     return smc.TargetModel(dim=dim, log_target_batch=batch)
 
 
-def make_system(log_weights, particles=None, rho=0.0):
+def make_system(target, log_weights, particles=None, rho=0.0):
+    """A system whose particles carry their log target and log eta1 values."""
     lw = np.asarray(log_weights, dtype=float)
     n = lw.shape[0]
     if particles is None:
         particles = np.zeros((n, 1))
-    return smc.ParticleSystem(particles=particles, log_weights=lw, rho=rho)
+    return smc.ParticleSystem(
+        particles=particles,
+        log_weights=lw,
+        log_pi=target.log_target_many(particles),
+        log_eta=target.eta1.logpdf_batch(particles),
+        rho=rho,
+    )
 
 
 class TestEss:
@@ -55,8 +62,8 @@ class TestReweight:
     def test_zero_step_keeps_equal_weights(self):
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(8, -math.log(8)), np.linspace(-1, 1, 8)[:, None])
-        lw = smc.reweight(sys, target, 0.0)
+        sys = make_system(target, np.full(8, -math.log(8)), np.linspace(-1, 1, 8)[:, None])
+        lw = smc.reweight(sys, 0.0)
         assert np.allclose(lw, -math.log(8))
 
     def test_target_equals_eta1_keeps_equal_weights(self):
@@ -68,17 +75,17 @@ class TestReweight:
 
         target.log_target_batch = batch
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(6, -math.log(6)), np.linspace(-2, 2, 6)[:, None])
-        lw = smc.reweight(sys, target, 0.7)
+        sys = make_system(target, np.full(6, -math.log(6)), np.linspace(-2, 2, 6)[:, None])
+        lw = smc.reweight(sys, 0.7)
         assert np.allclose(lw, -math.log(6), atol=1e-12)
 
     def test_direct_exponentiation_oracle(self):
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), 4.0 * np.eye(1))
         particles = np.array([[-1.2], [0.3], [0.5], [1.9], [-0.4]])
-        sys = make_system(np.full(5, -math.log(5)), particles, rho=0.2)
+        sys = make_system(target, np.full(5, -math.log(5)), particles, rho=0.2)
         rho_new = 0.55
-        lw = smc.reweight(sys, target, rho_new)
+        lw = smc.reweight(sys, rho_new)
         raw = np.array(
             [
                 (target.log_target(p) - target.eta1.logpdf(p)) * (rho_new - 0.2)
@@ -96,9 +103,11 @@ class TestNextTemperature:
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         # pi identical to eta1 up to the normalising constant: ESS stays N
         target.log_target_batch = lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
-        sys = make_system(np.full(16, -math.log(16)), np.random.default_rng(0).normal(size=(16, 1)))
+        sys = make_system(
+            target, np.full(16, -math.log(16)), np.random.default_rng(0).normal(size=(16, 1))
+        )
         cfg = smc.SmcConfig(n_particles=16, seed=0)
-        assert smc.next_temperature(sys, target, cfg) == 1.0
+        assert smc.next_temperature(sys, cfg) == 1.0
 
     def test_two_particle_closed_form_root(self):
         # two particles with log-ratio gap D: ESS(rho) = (1+t)^2/(1+t^2),
@@ -107,14 +116,15 @@ class TestNextTemperature:
         beta_frac = 0.8  # beta = 1.6 of N = 2
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(2, -math.log(2)), np.zeros((2, 1)))
-        sys.log_ratio = np.array([0.0, gap])
+        sys = make_system(target, np.full(2, -math.log(2)), np.zeros((2, 1)))
+        sys.log_pi = np.array([0.0, gap])
+        sys.log_eta = np.array([0.0, 0.0])
         cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=beta_frac, seed=0,
                             bisect_epsilon=1e-6)
         beta = 2 * beta_frac
         t_root = (1.0 + math.sqrt(1.0 - (beta - 1.0) ** 2)) / (beta - 1.0)
         rho_expected = math.log(t_root) / gap
-        got = smc.next_temperature(sys, target, cfg)
+        got = smc.next_temperature(sys, cfg)
         assert got == pytest.approx(rho_expected, abs=1e-6)
 
     def test_minimum_advance(self):
@@ -122,11 +132,12 @@ class TestNextTemperature:
         # must still advance by at least bisect_epsilon
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(2, -math.log(2)), np.zeros((2, 1)))
-        sys.log_ratio = np.array([0.0, 1e8])
+        sys = make_system(target, np.full(2, -math.log(2)), np.zeros((2, 1)))
+        sys.log_pi = np.array([0.0, 1e8])
+        sys.log_eta = np.array([0.0, 0.0])
         cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=0.75, seed=0,
                             bisect_epsilon=1e-4)
-        got = smc.next_temperature(sys, target, cfg)
+        got = smc.next_temperature(sys, cfg)
         assert got == pytest.approx(sys.rho + 1e-4)
 
 
@@ -197,14 +208,16 @@ class TestEvidenceIncrement:
             lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
         )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(4, -math.log(4)), np.random.default_rng(0).normal(size=(4, 1)))
-        assert smc.evidence_increment(sys, target, 0.0, 0.6) == pytest.approx(0.0, abs=1e-12)
+        sys = make_system(
+            target, np.full(4, -math.log(4)), np.random.default_rng(0).normal(size=(4, 1))
+        )
+        assert smc.evidence_increment(sys, 0.0, 0.6) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_particle(self):
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), 4.0 * np.eye(1))
-        sys = make_system(np.zeros(1), np.array([[0.7]]))
-        inc = smc.evidence_increment(sys, target, 0.1, 0.5)
+        sys = make_system(target, np.zeros(1), np.array([[0.7]]))
+        inc = smc.evidence_increment(sys, 0.1, 0.5)
         expect = 0.4 * (target.log_target(np.array([0.7])) - target.eta1.logpdf(np.array([0.7])))
         assert inc == pytest.approx(expect, abs=1e-12)
 
@@ -213,7 +226,7 @@ class TestRwmhPropagate:
     def test_tiny_scale_accepts_everything(self):
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
-        sys = make_system(np.full(200, -math.log(200)),
+        sys = make_system(target, np.full(200, -math.log(200)),
                           np.random.default_rng(0).normal(size=(200, 1)))
         sys.proposal_cov = np.eye(1)
         sys.scale = 1e-18
@@ -227,7 +240,7 @@ class TestRwmhPropagate:
         target.eta1 = smc.GaussianInit(np.full(2, 1.0), 2.0 * np.eye(2))
         rng = np.random.default_rng(2)
         n = 4000
-        sys = make_system(np.full(n, -math.log(n)), target.eta1.sample(rng, n), rho=0.5)
+        sys = make_system(target, np.full(n, -math.log(n)), target.eta1.sample(rng, n), rho=0.5)
         sys.proposal_cov = 2.0 * np.eye(2)
         sys.scale = 2.38**2 / 2
         cfg = smc.SmcConfig(n_particles=n, mh_steps=3, seed=0)
@@ -245,7 +258,7 @@ class TestRwmhPropagate:
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         rng = np.random.default_rng(3)
         n = 60_000
-        sys = make_system(np.full(n, -math.log(n)), rng.standard_normal((n, 1)), rho=1.0)
+        sys = make_system(target, np.full(n, -math.log(n)), rng.standard_normal((n, 1)), rho=1.0)
         sys.proposal_cov = np.eye(1)
         sys.scale = 1.0
         cfg = smc.SmcConfig(n_particles=n, mh_steps=1, seed=0)
@@ -267,7 +280,7 @@ class TestRwmhPropagate:
     def test_singular_covariance_fallback(self):
         target = gaussian_target(dim=2)
         target.eta1 = smc.GaussianInit(np.zeros(2), np.eye(2))
-        sys = make_system(np.full(50, -math.log(50)),
+        sys = make_system(target, np.full(50, -math.log(50)),
                           np.random.default_rng(4).normal(size=(50, 2)))
         sys.proposal_cov = np.zeros((2, 2))  # singular
         sys.scale = 1.0
@@ -359,6 +372,52 @@ class TestRun:
         ]
         assert abs(np.mean(vals) - m0) < 0.05
         assert max(abs(v - m0) for v in vals) < 0.2
+
+
+class TestParticleState:
+    """Each particle's log target and log eta1 are computed once, when it is
+    proposed, and stay consistent with its position."""
+
+    @pytest.mark.parametrize("mh_steps", [1, 3])
+    def test_one_target_batch_per_mh_step(self, mh_steps):
+        data = np.random.default_rng(8).normal(size=80)
+        h1, _ = priors.default_hyper(1)
+        target = models.make_gaussian_target(data, h1)
+        target.eta1 = smc.GaussianInit(np.array([-3.0, 2.0]), np.diag([9.0, 4.0]))
+        batch = target.log_target_batch
+        calls = []
+
+        def counted(vmat):
+            calls.append(vmat.shape[0])
+            return batch(vmat)
+
+        target.log_target_batch = counted
+        out = smc.run(target, smc.SmcConfig(n_particles=400, mh_steps=mh_steps, seed=4))
+        assert out.n_stages > 1
+        # the initial population, then one batch per MH step of every stage
+        assert len(calls) == 1 + out.n_stages * mh_steps
+        assert calls == [400] * len(calls)
+
+    @pytest.mark.parametrize("model", ["esn-p1", "esnsm"])
+    def test_stored_values_match_a_fresh_evaluation(self, model):
+        rng = np.random.default_rng(21)
+        if model == "esn-p1":
+            data = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 300, rng)[:, 0]
+            target = models.make_iid_esn_target(data, priors.default_hyper(1)[0], "p1")
+            target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
+        else:
+            truth = esnsm.EsnsmParams(
+                [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)],
+                [2.0, 1.0], -2.0,
+            )
+            data = esnsm.simulate(truth, 300, esnsm.CovariateSpec(), rng)
+            hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
+            target = esnsm.make_esnsm_target(data, hyper, [0, 1], [0, 2])
+            target.eta1 = smc.pilot_mh_init(target, 1000, rng, inflate=4.0)
+        system = smc.run(target, smc.SmcConfig(n_particles=300, seed=3)).system
+        x = system.particles
+        np.testing.assert_allclose(system.log_pi, target.log_target_many(x), rtol=1e-12)
+        np.testing.assert_allclose(system.log_eta, target.eta1.logpdf_batch(x), rtol=1e-12)
 
 
 class TestLaplaceInit:
