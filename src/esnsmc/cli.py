@@ -255,11 +255,17 @@ def cmd_simulate(cfg: dict) -> None:
     params = _params_from_config(cfg)
     if cfg["model"] == "esnsm":
         cov = cfg.get("covariates", {})
+        if not isinstance(cov, dict):
+            raise ConfigError("covariates must be an object")
         spec = esnsm.CovariateSpec(
-            n_covariates=int(cov.get("n_covariates", 2)),
-            variance=float(cov.get("variance", 2.0)),
+            n_covariates=_setting(cov, "n_covariates", 2, int),
+            variance=_setting(cov, "variance", 2.0, float),
             intercept=bool(cov.get("intercept", True)),
         )
+        if spec.n_covariates + spec.intercept != params.k1 or not 0.0 < spec.variance < math.inf:
+            raise ConfigError(
+                f"covariates must give {params.k1} design columns and a positive finite variance"
+            )
         data = esnsm.simulate(params, n, spec, rng)
         write_esnsm_csv(out, data)
     else:
@@ -267,8 +273,9 @@ def cmd_simulate(cfg: dict) -> None:
         write_iid_csv(out, draws)
 
 
-def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int) -> dict:
-    """Conjugate path: summaries from the exact posterior, no sampler."""
+def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
+    """Conjugate path: draws from the exact posterior, their names and the
+    log evidence, with no sampler."""
     d = data.shape[1]
     h1, _ = _build_hyper(cfg, d)
     kappa_n, nu_n, xi_n, v_n = model_select.niw_posterior(data, h1)
@@ -287,13 +294,7 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int) -> dict:
         else [f"xi{i + 1}" for i in range(d)]
         + [f"sigma{i + 1}{j + 1}" for i, j in zip(*tril)]
     )
-    return {
-        "parameters": summarize_particles(theta, names),
-        "log_evidence": model_select.gaussian_log_evidence(data, h1),
-        "stages": [],
-        "theta": theta,
-        "names": names,
-    }
+    return theta, names, model_select.gaussian_log_evidence(data, h1)
 
 
 def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
@@ -314,6 +315,9 @@ def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
 
 
 def _run_smc_fit(cfg: dict, seed: int):
+    """Read the dataset, build the target and run the sampler.  Returns the
+    target, the result, the dataset and the hyperparameters: an
+    ``EsnsmHyper``, or the (P1, P2) pair of the IID priors."""
     model = cfg["model"]
     config = _smc_config(cfg, seed)
     inflation = _setting(cfg, "eta1_inflation", 4.0, float)
@@ -335,9 +339,9 @@ def _run_smc_fit(cfg: dict, seed: int):
         init = cfg.get("init", "pilot")
     else:
         data = read_iid_csv(cfg["input"])
-        h1, h2 = _build_hyper(cfg, data.shape[1])
+        hyper = _build_hyper(cfg, data.shape[1])
         target = models.make_iid_esn_target(
-            data, h1 if model == "esn-p1" else h2,
+            data, hyper[0] if model == "esn-p1" else hyper[1],
             "p1" if model == "esn-p1" else "p2",
         )
         init = cfg.get("init", "laplace")
@@ -357,62 +361,45 @@ def _run_smc_fit(cfg: dict, seed: int):
         )
     else:
         raise ConfigError(f"unknown init {init!r}")
-    result = smc.run(target, config)
-    n_obs = data.n if model == "esnsm" else data.shape[0]
-    return target, result, n_obs
-
-
-def _apply_truth(cfg: dict, parameters: dict) -> None:
-    truth = cfg.get("truth")
-    if not truth:
-        return
-    for name, true_val in truth.items():
-        if name in parameters and true_val != 0:
-            est = parameters[name]["mean"]
-            parameters[name]["pct_deviation"] = 100.0 * (est - true_val) / true_val
+    return target, smc.run(target, config), data, hyper
 
 
 def cmd_fit(cfg: dict) -> None:
     seed = _require_seed(cfg)
     if "input" not in cfg:
         raise ConfigError("fit needs an input dataset")
+    truth = cfg.get("truth") or {}
+    if not isinstance(truth, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in truth.values()
+    ):
+        raise ConfigError(f"truth must map parameter names to numbers, got {truth!r}")
     model = cfg["model"]
     if model == "gaussian":
         data = read_iid_csv(cfg["input"])
-        exact = _gaussian_exact_fit(cfg, data, seed)
-        parameters = exact["parameters"]
-        _apply_truth(cfg, parameters)
-        payload = {
-            "model": model,
-            "seed": seed,
-            "n_observations": int(data.shape[0]),
-            "log_evidence": exact["log_evidence"],
-            "parameters": parameters,
-            "stages": exact["stages"],
-        }
-        if cfg.get("dump_particles"):
-            _write_particles_csv(cfg["dump_particles"], exact["theta"], exact["names"])
-        _emit(cfg, payload)
-        return
-
-    target, result, n_obs = _run_smc_fit(cfg, seed)
-    theta = result.constrained_particles(target)
-    parameters = summarize_particles(theta, target.param_names)
-    if cfg["model"] == "esnsm":
-        names = target.param_names
+        theta, names, log_evidence = _gaussian_exact_fit(cfg, data, seed)
+        stages = []
+    else:
+        target, result, data, _ = _run_smc_fit(cfg, seed)
+        theta, names = result.constrained_particles(target), target.param_names
+        log_evidence, stages = result.log_evidence, _stage_log(result)
+    parameters = summarize_particles(theta, names)
+    if model == "esnsm":
         ratio = theta[:, names.index("sigma12")] / np.sqrt(theta[:, names.index("sigma1")])
         parameters["rho"] = summarize_particles(ratio[:, None], ["rho"])["rho"]
-    _apply_truth(cfg, parameters)
+    for name, true_val in truth.items():
+        if name in parameters and true_val != 0:
+            est = parameters[name]["mean"]
+            parameters[name]["pct_deviation"] = 100.0 * (est - true_val) / true_val
     payload = {
-        "model": cfg["model"],
+        "model": model,
         "seed": seed,
-        "n_observations": n_obs,
-        "log_evidence": result.log_evidence,
+        "n_observations": data.n if model == "esnsm" else data.shape[0],
+        "log_evidence": log_evidence,
         "parameters": parameters,
-        "stages": _stage_log(result),
+        "stages": stages,
     }
     if cfg.get("dump_particles"):
-        _write_particles_csv(cfg["dump_particles"], theta, target.param_names)
+        _write_particles_csv(cfg["dump_particles"], theta, names)
     _emit(cfg, payload)
 
 
@@ -424,16 +411,14 @@ def cmd_compare(cfg: dict) -> None:
         raise ConfigError("compare supports the IID models only")
     if "input" not in cfg:
         raise ConfigError("compare needs an input dataset")
-    data = read_iid_csv(cfg["input"])
-    h1, _ = _build_hyper(cfg, data.shape[1])
-    target, result, n_obs = _run_smc_fit(cfg, seed)
+    _, result, data, (h1, _) = _run_smc_fit(cfg, seed)
     log_m0 = model_select.gaussian_log_evidence(data, h1)
     comp = model_select.classify_bayes_factor(result.log_evidence, log_m0)
     payload = {
         "model1": cfg["model"],
         "model0": "gaussian",
         "seed": seed,
-        "n_observations": n_obs,
+        "n_observations": data.shape[0],
         "log_m1": comp.log_m1,
         "log_m0": comp.log_m0,
         "log10_bayes_factor": comp.log10_bayes_factor,
@@ -458,16 +443,13 @@ def cmd_marginal_effects(cfg: dict) -> None:
     k = _setting(cfg, "covariate_index", data.x.shape[1] - 1, int)
     if not 0 <= k < data.x.shape[1]:
         raise ConfigError("covariate_index out of range")
-    effects = np.array(
-        [esnsm.marginal_effect(params, data.x[i], k) for i in range(data.n)]
-    )
+    effects = esnsm.marginal_effect(params, data.x, k)
     me_csv = cfg.get("me_output_csv")
     if me_csv:
         with open(me_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "marginal_effect"])
-            for i, v in enumerate(effects):
-                writer.writerow([i, repr(float(v))])
+            writer.writerows([i, repr(float(v))] for i, v in enumerate(effects))
     payload = {
         "model": "esnsm",
         "seed": seed,
@@ -503,7 +485,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if args.truth:
             with open(args.truth, "r", encoding="utf-8") as fh:
-                cfg["truth"] = json.load(fh)
+                try:
+                    cfg["truth"] = json.load(fh)
+                except ValueError as exc:  # not JSON, or not text
+                    raise ConfigError(f"truth file is not valid JSON: {exc}") from exc
         if args.command == "simulate":
             cmd_simulate(cfg)
         elif args.command == "fit":

@@ -381,45 +381,47 @@ def log_prior_esnsm(
     return float(out)
 
 
-def tau(a: float, alpha: float, lam: float) -> float:
-    """phi(a) Phi(lam + alpha a) / Phi2(a, 1, alpha, lam)."""
+def _tau_delta(a, alpha: float, lam: float):
+    """``tau`` and ``delta`` at every point of ``a``, sharing one evaluation
+    of their denominator Phi2(a, 1, alpha, lam)."""
     c0 = math.sqrt(1.0 + alpha * alpha)
     r = -alpha / c0
-    denom = float(log_bvn_cdf(a, lam / c0, min(max(r, -1 + 1e-14), 1 - 1e-14)))
-    if denom == -math.inf:
-        raise ParameterDomainError("vanishing selection probability in tau")
-    return math.exp(float(norm_logpdf(a)) + float(log_ndtr(lam + alpha * a)) - denom)
+    denom = log_bvn_cdf(a, lam / c0, min(max(r, -1 + 1e-14), 1 - 1e-14))
+    if np.any(denom == -math.inf):
+        raise ParameterDomainError("vanishing selection probability")
+    t = np.exp(norm_logpdf(a) + log_ndtr(lam + alpha * a) - denom)
+    d = np.exp(norm_logpdf(lam / c0) + log_ndtr(a * c0 + alpha * lam / c0) - denom)
+    return t, d
+
+
+def tau(a: float, alpha: float, lam: float) -> float:
+    """phi(a) Phi(lam + alpha a) / Phi2(a, 1, alpha, lam)."""
+    return float(_tau_delta(a, alpha, lam)[0])
 
 
 def delta(a: float, alpha: float, lam: float) -> float:
     """phi(lam/c0) Phi(a c0 + alpha lam / c0) / Phi2(a, 1, alpha, lam)."""
-    c0 = math.sqrt(1.0 + alpha * alpha)
-    r = -alpha / c0
-    denom = float(log_bvn_cdf(a, lam / c0, min(max(r, -1 + 1e-14), 1 - 1e-14)))
-    if denom == -math.inf:
-        raise ParameterDomainError("vanishing selection probability in delta")
-    return math.exp(
-        float(norm_logpdf(lam / c0)) + float(log_ndtr(a * c0 + alpha * lam / c0)) - denom
-    )
+    return float(_tau_delta(a, alpha, lam)[1])
 
 
-def conditional_expectations(params: EsnsmParams, x_i) -> tuple[float, float]:
+def conditional_expectations(params: EsnsmParams, x):
     """(E[S*|S=1,x], E[Y*|S=1,x]) for a univariate outcome.
 
-    The selection-error location enters both expectations (it shifts the
+    ``x`` is one covariate row, which gives two floats, or an (n, k1)
+    matrix, which gives two arrays with one entry per row.  The
+    selection-error location enters both expectations (it shifts the
     latent index), so it appears alongside the regression parts; in the
     Gaussian limit both reduce to the classical truncated-normal and
     Heckman corrections.
     """
     if params.d != 1:
         raise ParameterDomainError("conditional expectations require a scalar outcome")
-    x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     blk = _selection_blocks(params)
     c2, at2, c02 = blk["c2"], blk["atilde2"], blk["c0s"]
-    a_i = blk["xi2"] + float(x_i @ params.beta2)
-    t2 = tau(a_i, -c2 * at2, c2 * params.lam)
-    d2 = delta(a_i, -c2 * at2, c2 * params.lam)
-    e_sstar = float(x_i @ params.beta2) + blk["xi2"] + t2 + (c2 * at2 / c02) * d2
+    sel_idx = x @ params.beta2
+    t2, d2 = _tau_delta(blk["xi2"] + sel_idx, -c2 * at2, c2 * params.lam)
+    e_sstar = sel_idx + blk["xi2"] + t2 + (c2 * at2 / c02) * d2
 
     sigma1 = math.sqrt(params.sigma1[0, 0])
     sigma12 = float(params.sigma12[0])
@@ -430,18 +432,21 @@ def conditional_expectations(params: EsnsmParams, x_i) -> tuple[float, float]:
     # sigma12 * (c2 atilde2 / c02) delta2 + Sigma_11.2 alpha1 c2 delta2 / c02,
     # which is what conditioning on the selection error yields
     v2 = (rho * c2 * at2 + c2 * (1.0 - rho * rho) * sigma1 * alpha1) / c02
-    e_ystar = float(blk["xi1"][0]) + float(x_i @ params.B[0]) + sigma12 * t2 + sigma1 * v2 * d2
+    e_ystar = float(blk["xi1"][0]) + x @ params.B[0] + sigma12 * t2 + sigma1 * v2 * d2
+    if x.ndim == 1:
+        return float(e_sstar), float(e_ystar)
     return e_sstar, e_ystar
 
 
-def marginal_effect(params: EsnsmParams, x_i, k: int) -> float:
-    """d E[Y*|S=1,x] / d x_k by centred finite differences."""
-    x_i = np.atleast_1d(np.asarray(x_i, dtype=float)).copy()
-    step = 1e-5 * max(1.0, abs(x_i[k]))
-    x_hi = x_i.copy()
-    x_lo = x_i.copy()
-    x_hi[k] += step
-    x_lo[k] -= step
+def marginal_effect(params: EsnsmParams, x, k: int):
+    """d E[Y*|S=1,x] / d x_k by centred finite differences; a float for one
+    covariate row, an array for an (n, k1) matrix."""
+    x = np.asarray(x, dtype=float)
+    step = 1e-5 * np.maximum(1.0, np.abs(x[..., k]))
+    x_hi = x.copy()
+    x_lo = x.copy()
+    x_hi[..., k] += step
+    x_lo[..., k] -= step
     _, up = conditional_expectations(params, x_hi)
     _, lo = conditional_expectations(params, x_lo)
     return (up - lo) / (2.0 * step)
@@ -535,6 +540,11 @@ def make_esnsm_target(
         out[i_s + 1] = math.atanh(min(max(s12 / math.sqrt(s1), -1 + 1e-12), 1 - 1e-12))
         return out
 
+    def products(coef, x):
+        """``coef @ x.T`` summed column by column: unlike a BLAS product,
+        this rounds each row the same wherever it sits in the block."""
+        return sum(coef[:, j, None] * x[:, j] for j in range(x.shape[1]))
+
     def block(vmat):
         theta = to_constrained(vmat)
         b, b2 = theta[:, :k_out], theta[:, k_out:i_s]
@@ -565,11 +575,11 @@ def make_esnsm_target(
         # of esnsm.log_bvn_cdf, which expect a scalar r, do not see this call
         k = c2 * lam / c0s
         r = np.clip(-(c2 * at2) / c0s, -1.0 + 1e-14, 1.0 - 1e-14)
-        hc = -(b2 @ x2_cen.T) - xi2[:, None]
+        hc = -products(b2, x2_cen) - xi2[:, None]
         ll = normals.log_bvn_cdf(hc, k[:, None], r[:, None]).sum(axis=1) - n_cen * log_ndtr(k)
         sd1 = np.sqrt(s1)
-        resid = y_obs - b @ x1_obs.T - xi1[:, None]
-        m = xi2[:, None] + b2 @ x2_obs.T + resid * sol12[:, None]
+        resid = y_obs - products(b, x1_obs) - xi1[:, None]
+        m = xi2[:, None] + products(b2, x2_obs) + resid * sol12[:, None]
         lam_i = lam[:, None] + resid * at1[:, None]
         sd2 = np.sqrt(s22_1)
         kvar = np.sqrt(1.0 + a2 * a2 * s22_1)

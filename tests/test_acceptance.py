@@ -373,7 +373,7 @@ class TestCriterion8:
 
 
 def _average_effect(params, x, k):
-    return float(np.mean([esnsm.marginal_effect(params, row, k) for row in x]))
+    return float(np.mean(esnsm.marginal_effect(params, x, k)))
 
 
 class TestCriterion9:

@@ -401,6 +401,13 @@ class TestErrorPaths:
             ("simulate", {"n": "ten"}),
             ("fit", {"seed": "abc"}),
             ("fit", {"hyper": {"kappa": "x"}}),
+            ("fit", {"truth": [2.0]}),
+            ("fit", {"truth": {"xi": "two"}}),
+            ("fit", {"truth": "{not json"}),
+            ("simulate", {"covariates": {"n_covariates": "two"}}),
+            ("simulate", {"covariates": [2]}),
+            ("simulate", {"covariates": {"variance": -1.0}}),
+            ("simulate", {"covariates": {"n_covariates": 0, "intercept": False}}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -408,6 +415,10 @@ class TestErrorPaths:
         # a fit checks its settings before it reads the (absent) dataset,
         # which would otherwise be a data error
         cfg = {"model": "esn-p1", "seed": 1, "input": str(tmp_path / "absent.csv")}
+        settings, argv = dict(settings), []
+        if isinstance(settings.get("truth"), str):  # the text of a --truth file
+            (tmp_path / "truth.json").write_text(settings.pop("truth"))
+            argv = ["--truth", str(tmp_path / "truth.json")]
         if command == "me":
             dump = tmp_path / "dump.csv"
             dump.write_text(
@@ -420,11 +431,15 @@ class TestErrorPaths:
         elif command == "simulate":
             cfg.update(params={"xi": 2.0, "sigma": 6.0, "alpha": 5.0, "lambda": -2.0},
                        output=str(tmp_path / "sim.csv"))
+            if "covariates" in settings:
+                cfg.update(model="esnsm", params={
+                    "B": [[3.0, -2.0, 0.0]], "beta2": [1.5, 0.0, 2.0], "sigma1": [[6.0]],
+                    "sigma12": [0.7], "alpha": [2.0, 1.0], "lambda": -2.0})
         if "hyper" in settings:  # checked once the data's dimension is known
             (tmp_path / "data.csv").write_text("y1\n1.0\n2.0\n3.5\n")
             cfg["input"] = str(tmp_path / "data.csv")
         cfg.update(settings)
-        assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg)]) == 2
+        assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg), *argv]) == 2
 
     def test_invalid_simulation_params_is_config_error(self, tmp_path):
         cfg = write_config(

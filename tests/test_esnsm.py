@@ -367,6 +367,22 @@ class TestMarginalEffect:
             se = float(np.std(infl[0] - infl[1])) / math.sqrt(eps.shape[0]) / (2.0 * h)
             assert abs(esnsm.marginal_effect(p, x, 2) - sim) <= z_crit * se
 
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_matrix_matches_row_calls(self, skewed):
+        p = design_params() if skewed else design_params(alpha=(0.0, 0.0), lam=0.0)
+        x = esnsm.CovariateSpec().draw(60, np.random.default_rng(14))
+        x[:3, 2] = [-4.0, -3.0, 4.0]  # selection index deep in both tails
+        es, ey = esnsm.conditional_expectations(p, x)
+        rows = np.array([esnsm.conditional_expectations(p, row) for row in x])
+        np.testing.assert_allclose(es, rows[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(ey, rows[:, 1], rtol=1e-12)
+        for k in range(3):
+            np.testing.assert_allclose(
+                esnsm.marginal_effect(p, x, k),
+                [esnsm.marginal_effect(p, row, k) for row in x],
+                rtol=0.0, atol=1e-9,
+            )
+
 
 class TestBivariateOutcome:
     def test_gaussian_limit_matches_bivariate_tobit2(self):

@@ -598,3 +598,27 @@ class TestBatchConsistency:
         if not gaussian_errors:
             vmat[4:8, -1] = [40.0, -40.0, 25.0, -25.0]
         self._check(target, log_post, vmat)
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_batch_is_row_invariant(self, gaussian_errors):
+        # a particle's value must not depend on where it sits in the batch:
+        # the whole batch, the batch permuted, the batch cut into chunks of a
+        # size other than the target's internal block, and one-row calls all
+        # give the same bytes
+        rng = np.random.default_rng(33)
+        truth = esnsm.EsnsmParams(
+            [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
+        )
+        data = esnsm.simulate(truth, 1000, esnsm.CovariateSpec(), rng)
+        hyper = esnsm.EsnsmHyper.defaults(1, 3, 3, data.n)
+        target = esnsm.make_esnsm_target(data, hyper, [0, 1, 2], [0, 1, 2], gaussian_errors)
+        vmat = target.default_start + 0.3 * rng.normal(size=(200, target.dim))
+        whole = target.log_target_batch(vmat)
+        perm = rng.permutation(vmat.shape[0])
+        permuted = np.empty_like(whole)
+        permuted[perm] = target.log_target_batch(vmat[perm])
+        chunked = np.concatenate([target.log_target_batch(vmat[i : i + 7]) for i in range(0, 200, 7)])
+        single = np.array([target.log_target_batch(v[None])[0] for v in vmat])
+        assert np.isfinite(whole).all()
+        for other in (permuted, chunked, single):
+            assert whole.tobytes() == other.tobytes()
