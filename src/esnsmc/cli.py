@@ -248,6 +248,8 @@ def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
 def cmd_simulate(cfg: dict) -> None:
     seed = _require_seed(cfg)
     n = _setting(cfg, "n", 1000, int)
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
     out = cfg.get("output")
     if not out:
         raise ConfigError("simulate needs an output path")
@@ -326,6 +328,9 @@ def _run_smc_fit(cfg: dict, seed: int):
         raise ConfigError(f"eta1_inflation must be positive and finite, got {inflation}")
     if pilot_iters < 1000:
         raise ConfigError(f"pilot_iterations must be at least 1000, got {pilot_iters}")
+    init = cfg.get("init", "pilot" if model == "esnsm" else "laplace")
+    if init not in ("laplace", "pilot"):
+        raise ConfigError(f"unknown init {init!r}")
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
@@ -336,7 +341,6 @@ def _run_smc_fit(cfg: dict, seed: int):
             data, hyper, outcome_terms, select_terms,
             gaussian_errors=bool(cfg.get("gaussian_errors", False)),
         )
-        init = cfg.get("init", "pilot")
     else:
         data = read_iid_csv(cfg["input"])
         hyper = _build_hyper(cfg, data.shape[1])
@@ -344,7 +348,6 @@ def _run_smc_fit(cfg: dict, seed: int):
             data, hyper[0] if model == "esn-p1" else hyper[1],
             "p1" if model == "esn-p1" else "p2",
         )
-        init = cfg.get("init", "laplace")
 
     init_ss = np.random.SeedSequence([seed, 0xE7A1])
     if init == "laplace":
@@ -355,12 +358,10 @@ def _run_smc_fit(cfg: dict, seed: int):
             target.eta1 = smc.pilot_mh_init(
                 target, pilot_iters, np.random.default_rng(init_ss), inflate=inflation
             )
-    elif init == "pilot":
+    else:
         target.eta1 = smc.pilot_mh_init(
             target, pilot_iters, np.random.default_rng(init_ss), inflate=inflation
         )
-    else:
-        raise ConfigError(f"unknown init {init!r}")
     return target, smc.run(target, config), data, hyper
 
 

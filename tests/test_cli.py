@@ -408,6 +408,10 @@ class TestErrorPaths:
             ("simulate", {"covariates": [2]}),
             ("simulate", {"covariates": {"variance": -1.0}}),
             ("simulate", {"covariates": {"n_covariates": 0, "intercept": False}}),
+            ("simulate", {"n": 0}),
+            ("simulate", {"model": "esnsm", "n": 0}),
+            ("fit", {"init": "bogus"}),
+            ("fit", {"model": "esnsm", "init": "bogus"}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -431,7 +435,7 @@ class TestErrorPaths:
         elif command == "simulate":
             cfg.update(params={"xi": 2.0, "sigma": 6.0, "alpha": 5.0, "lambda": -2.0},
                        output=str(tmp_path / "sim.csv"))
-            if "covariates" in settings:
+            if "covariates" in settings or settings.get("model") == "esnsm":
                 cfg.update(model="esnsm", params={
                     "B": [[3.0, -2.0, 0.0]], "beta2": [1.5, 0.0, 2.0], "sigma1": [[6.0]],
                     "sigma12": [0.7], "alpha": [2.0, 1.0], "lambda": -2.0})

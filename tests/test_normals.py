@@ -65,6 +65,11 @@ class TestBvn:
             (0.3, -0.2, 0.9999),
             (1.0, 0.5, -0.9999),
             (-1.3, 0.0, 0.9999),
+            # the four sign cases of the |r| >= 0.925 expansion
+            (-0.8, -0.4, 0.96),
+            (0.1, -0.3, -0.93),
+            (1.5, 0.4, -0.95),
+            (-0.5, 1.2, -0.95),
         ],
     )
     def test_against_quadrature(self, h, k, r):
@@ -96,6 +101,31 @@ class TestBvn:
         assert np.array_equal(normals.log_bvn_cdf(h, k, r), per_call)
         per_call = [normals.bvn_cdf(h[i], k[i], r[i]) for i in range(h.size)]
         assert np.array_equal(normals.bvn_cdf(h, k, r), per_call)
+
+    def test_rows_match_one_call_per_row(self):
+        # one correlation per row: rows under each node rule and the |r|
+        # expansion, deep-tail points included, give the bytes of one call per row
+        rng = np.random.default_rng(2)
+        h = rng.normal(scale=2.0, size=(8, 50))
+        k = rng.normal(scale=2.0, size=(8, 50))
+        h[:, 0], k[:, 0] = -9.0, -8.0
+        r = np.array([0.1, -0.2, 0.5, -0.6, 0.8, -0.9, 0.95, -0.99])[:, None]
+        for f in (normals.log_bvn_cdf, normals.bvn_cdf):
+            assert np.array_equal(f(h, k, r), [f(h[i], k[i], r[i, 0]) for i in range(8)])
+
+    def test_small_probability_at_strong_negative_correlation(self):
+        # p = 1.03e-10, just above the log's switch to its tail quadrature
+        mp = pytest.importorskip("mpmath")
+        h, k, r = -1.38, 0.60, -0.99
+        with mp.workdps(30):
+            mh, mk, mr = mp.mpf(h), mp.mpf(k), mp.mpf(r)
+            s = mp.sqrt(1 - mr * mr)
+            points = sorted(x for x in (mk / mr, mh - 2, mh - 1, mh - 0.25) if x < mh)
+            ref = mp.quad(
+                lambda x: mp.npdf(x) * mp.ncdf((mk - mr * x) / s), [-mp.inf, *points, mh]
+            )
+            ref = float(ref)
+        assert abs(normals.bvn_cdf(h, k, r) - ref) <= 1e-9 * ref
 
     def test_infinite_limits(self):
         assert normals.bvn_cdf(np.inf, 0.3, 0.5) == pytest.approx(
