@@ -17,7 +17,6 @@ from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
-from scipy.stats import invwishart
 
 from . import esn, esnsm, model_select, models, priors, smc
 from .errors import (
@@ -120,13 +119,18 @@ def _params_from_config(cfg: dict):
 # ---------------------------------------------------------------- CSV I/O
 
 
-def write_iid_csv(path: str, data: np.ndarray) -> None:
-    data = np.atleast_2d(data)
+def _write_matrix_csv(path: str, header: list[str], matrix: np.ndarray) -> None:
+    """A header line, then one line per matrix row of ``repr`` floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"y{j + 1}" for j in range(data.shape[1])])
-        for row in data:
+        writer.writerow(header)
+        for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def write_iid_csv(path: str, data: np.ndarray) -> None:
+    data = np.atleast_2d(data)
+    _write_matrix_csv(path, [f"y{j + 1}" for j in range(data.shape[1])], data)
 
 
 def _read_csv(path: str, what: str):
@@ -146,14 +150,20 @@ def _read_csv(path: str, what: str):
     return header, rows
 
 
+def _matrix(rows, what: str) -> np.ndarray:
+    """The float matrix of CSV rows; a non-number or a ragged row is a
+    data error."""
+    try:
+        return np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc
+
+
 def read_iid_csv(path: str) -> np.ndarray:
     header, rows = _read_csv(path, "dataset")
     if not all(h.startswith("y") for h in header):
         raise DataError(f"unexpected IID data header: {header}")
-    try:
-        return np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:  # a non-number or a ragged row
-        raise DataError(f"malformed dataset: {exc}") from exc
+    return _matrix(rows, "dataset")
 
 
 def write_esnsm_csv(path: str, data: esnsm.EsnsmData) -> None:
@@ -189,20 +199,9 @@ def read_esnsm_csv(path: str) -> esnsm.EsnsmData:
     return esnsm.EsnsmData(x, s, y)
 
 
-def _write_particles_csv(path: str, theta: np.ndarray, names: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in theta:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _read_particles_csv(path: str):
     names, rows = _read_csv(path, "particle dump")
-    try:
-        return names, np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise DataError(f"malformed particle dump: {exc}") from exc
+    return names, _matrix(rows, "particle dump")
 
 
 def _emit(cfg: dict, payload: dict) -> None:
@@ -278,6 +277,8 @@ def cmd_simulate(cfg: dict) -> None:
 def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
     """Conjugate path: draws from the exact posterior, their names and the
     log evidence, with no sampler."""
+    from scipy.stats import invwishart  # slow to import; only this path needs it
+
     d = data.shape[1]
     h1, _ = _build_hyper(cfg, d)
     kappa_n, nu_n, xi_n, v_n = model_select.niw_posterior(data, h1)
@@ -288,15 +289,9 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
     z = rng.standard_normal((n_draws, d))
     chols = np.linalg.cholesky(sig / kappa_n)
     xi_draws = xi_n + np.einsum("nij,nj->ni", chols, z)
-    tril = np.tril_indices(d)
-    theta = np.column_stack([xi_draws, sig[:, tril[0], tril[1]]])
-    names = (
-        ["xi", "sigma2"]
-        if d == 1
-        else [f"xi{i + 1}" for i in range(d)]
-        + [f"sigma{i + 1}{j + 1}" for i, j in zip(*tril)]
-    )
-    return theta, names, model_select.gaussian_log_evidence(data, h1)
+    rows, cols = np.tril_indices(d)
+    theta = np.column_stack([xi_draws, sig[:, rows, cols]])
+    return theta, models.param_names(d), model_select.gaussian_log_evidence(data, h1)
 
 
 def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
@@ -400,7 +395,7 @@ def cmd_fit(cfg: dict) -> None:
         "stages": stages,
     }
     if cfg.get("dump_particles"):
-        _write_particles_csv(cfg["dump_particles"], theta, names)
+        _write_matrix_csv(cfg["dump_particles"], names, theta)
     _emit(cfg, payload)
 
 

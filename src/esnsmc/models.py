@@ -24,8 +24,8 @@ from .smc import TargetModel
 
 __all__ = [
     "chol_params_from_matrix",
-    "matrix_from_chol_params",
     "chol_log_jacobian",
+    "param_names",
     "make_iid_esn_target",
     "make_gaussian_target",
 ]
@@ -44,13 +44,15 @@ def _diag_positions(d):
     return np.flatnonzero(rows == cols)
 
 
-def matrix_from_chol_params(u, d):
-    """Lower-Cholesky parameters (log-diagonal) to the SPD matrix."""
-    lmat = np.zeros((d, d))
-    lmat[_tril(d)] = u
-    idx = np.diag_indices(d)
-    lmat[idx] = np.exp(lmat[idx])
-    return lmat @ lmat.T
+def _chol_factor(u, d):
+    """Lower Cholesky factor from its lower-triangle parameters, the
+    diagonal on the log scale; ``u`` is one parameter vector or a matrix
+    with one per row."""
+    lmat = np.zeros(u.shape[:-1] + (d, d))
+    lmat[(..., *_tril(d))] = u
+    idx = np.arange(d)
+    lmat[..., idx, idx] = np.exp(u[..., _diag_positions(d)])
+    return lmat
 
 
 def chol_params_from_matrix(m):
@@ -93,10 +95,10 @@ class _Packing:
         self._s = slice(d, d + self.n_tril)
 
     def to_constrained(self, v):
-        v = np.asarray(v, dtype=float)
-        out = v.copy()
-        sigma = matrix_from_chol_params(v[self._s], self.d)
-        out[self._s] = sigma[_tril(self.d)]
+        """One unconstrained vector, or a matrix with one per row."""
+        out = np.array(v, dtype=float)
+        lmat = _chol_factor(out[..., self._s], self.d)
+        out[..., self._s] = (lmat @ lmat.swapaxes(-1, -2))[(..., *_tril(self.d))]
         return out
 
     def to_unconstrained(self, theta):
@@ -115,19 +117,27 @@ class _Packing:
         and the log-Jacobian of the scale map."""
         d = self.d
         u = vmat[:, self._s]
-        lmat = np.zeros((vmat.shape[0], d, d))
-        lmat[(slice(None),) + _tril(d)] = u
+        lmat = _chol_factor(u, d)
         logdiag = u[:, _diag_positions(d)]
-        lmat[:, np.arange(d), np.arange(d)] = np.exp(logdiag)
         linv = _inv_lower(lmat)
         prec = np.einsum("nji,njk->nik", linv, linv)
         logdet = 2.0 * logdiag.sum(axis=1)
         return vmat[:, :d], lmat, prec, logdet, vmat[:, self._s.stop :], chol_log_jacobian(u, d)
 
 
-def _scale_names(prefix, d):
+def param_names(d, scale="sigma", shape=None, shift=None):
+    """Names of the flat IID layout: the location, the scale's lower
+    triangle by rows, then, for the ESN models, the shape vector and the
+    shift scalar.  In one dimension the short forms are ``xi, sigma2``
+    (Gaussian), ``xi, sigma2, alpha, lambda`` (p1) and ``xi, omega2, d, c``
+    (p2); above it, ``xi1, xi2, sigma11, sigma21, sigma22, alpha1, ...``."""
+
+    def vector(name):
+        return [name] if d == 1 else [f"{name}{i + 1}" for i in range(d)]
+
     rows, cols = _tril(d)
-    return [f"{prefix}{i + 1}{j + 1}" for i, j in zip(rows, cols)]
+    scales = [f"{scale}2"] if d == 1 else [f"{scale}{i + 1}{j + 1}" for i, j in zip(rows, cols)]
+    return vector("xi") + scales + (vector(shape) + [shift] if shape else [])
 
 
 def _quad(prec, u):
@@ -207,15 +217,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             lp -= 0.5 * (_LOG_2PI + np.log(c0sq) + lam * lam / c0sq)
             return _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq) + lp + log_jac
 
-        if d == 1:
-            names = ["xi", "sigma2", "alpha", "lambda"]
-        else:
-            names = (
-                [f"xi{i + 1}" for i in range(d)]
-                + _scale_names("sigma", d)
-                + [f"alpha{i + 1}" for i in range(d)]
-                + ["lambda"]
-            )
+        names = param_names(d, "sigma", "alpha", "lambda")
     elif parametrization == "p2":
         if not isinstance(hyper, priors.HyperParamsP2):
             raise TypeError("p2 target needs HyperParamsP2")
@@ -238,15 +240,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             lp -= 0.5 * (_LOG_2PI + c * c)
             return ll + lp + log_jac
 
-        if d == 1:
-            names = ["xi", "omega2", "d", "c"]
-        else:
-            names = (
-                [f"xi{i + 1}" for i in range(d)]
-                + _scale_names("omega", d)
-                + [f"d{i + 1}" for i in range(d)]
-                + ["c"]
-            )
+        names = param_names(d, "omega", "d", "c")
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
@@ -291,11 +285,6 @@ def make_gaussian_target(data, hyper) -> TargetModel:
         lp = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
         return _gauss_loglik(st, xi, prec, logdet) + lp + log_jac
 
-    names = (
-        ["xi", "sigma2"]
-        if d == 1
-        else [f"xi{i + 1}" for i in range(d)] + _scale_names("sigma", d)
-    )
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[max(z.var(), 1e-8)]])
     start_theta = np.concatenate([st.mean, np.atleast_2d(var)[_tril(d)]])
     return TargetModel(
@@ -303,6 +292,6 @@ def make_gaussian_target(data, hyper) -> TargetModel:
         log_target_batch=batch,
         to_constrained=pack.to_constrained,
         to_unconstrained=pack.to_unconstrained,
-        param_names=names,
+        param_names=param_names(d),
         default_start=pack.to_unconstrained(start_theta),
     )

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
-from scipy.stats import qmc
+from scipy import special
 
 from .errors import NumericalError, UnsupportedDimensionError
 
@@ -55,11 +54,6 @@ _GL = tuple(
 )
 _RULE_EDGES = np.array([0.3, 0.75, 0.925])  # |r| where rules 1 and 2 and the expansion begin
 _NODE_BLOCK = 2**14  # node-by-point terms per pass of the |r| < 0.925 rule
-
-
-def norm_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x - LOG_SQRT_2PI)
 
 
 def norm_logpdf(x):
@@ -287,6 +281,8 @@ def tvn_cdf(b, cov, tol=1e-8):
     smallest and integrates the conditional bivariate CDF adaptively.
     Deterministic; absolute error well below 1e-7 for tol <= 1e-8.
     """
+    from scipy import integrate  # slow to import; only this rule needs it
+
     b = np.asarray(b, dtype=float)
     corr, sd = _cov_to_corr(np.asarray(cov, dtype=float))
     z = b / sd
@@ -319,6 +315,8 @@ def qvn_cdf(b, cov, tol=1e-4, rng=None, max_points=2**17):
     standard error over random shifts drops below tol.  Raises
     NumericalError when the budget is exhausted first.
     """
+    from scipy.stats import qmc  # slow to import; only this rule needs it
+
     b = np.asarray(b, dtype=float)
     corr, sd = _cov_to_corr(np.asarray(cov, dtype=float))
     z = b / sd

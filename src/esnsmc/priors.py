@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import invwishart
 
 from .errors import ParameterDomainError
 from .esn import EsnParamsP1, EsnParamsP2
@@ -190,6 +189,8 @@ def log_prior_p2(params: EsnParamsP2, hyper: HyperParamsP2) -> float:
 
 def sample_prior(hyper, parametrization: str, rng: np.random.Generator):
     """One draw from the hierarchical prior ('p1' or 'p2')."""
+    from scipy.stats import invwishart  # slow to import; nothing else here needs it
+
     if parametrization == "p1":
         if not isinstance(hyper, HyperParamsP1):
             raise TypeError("p1 sampling needs HyperParamsP1")

@@ -50,7 +50,7 @@ __all__ = [
 
 
 def _identity(v):
-    return v
+    return np.array(v, dtype=float)
 
 
 @dataclass
@@ -93,9 +93,9 @@ class TargetModel:
     ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
     to the N values of the unnormalised log posterior plus the
     log-determinant of d(constrained)/d(unconstrained); it is the only
-    route by which the target is evaluated.  ``to_constrained`` and
-    ``to_unconstrained`` map single parameter vectors between the flat
-    constrained layout and the sampler's coordinates.
+    route by which the target is evaluated.  ``to_constrained`` maps
+    one unconstrained vector, or an (N, dim) matrix of them, to the flat
+    constrained layout; ``to_unconstrained`` maps one vector back.
     """
 
     dim: int
@@ -206,7 +206,7 @@ class SmcResult:
         return len(self.diagnostics)
 
     def constrained_particles(self, target: TargetModel) -> np.ndarray:
-        return np.array([target.to_constrained(v) for v in self.system.particles])
+        return target.to_constrained(self.system.particles)
 
 
 def ess(log_weights) -> float:

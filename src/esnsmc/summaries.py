@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 
 def marginal_mode(samples: np.ndarray, grid_size: int = 512) -> float:
     """Mode of a one-dimensional marginal: Gaussian kernel density with
     Silverman bandwidth, maximised on a regular grid."""
+    from scipy.stats import gaussian_kde  # slow to import; only fits need it
+
     samples = np.asarray(samples, dtype=float)
     lo, hi = samples.min(), samples.max()
     if hi - lo < 1e-12:

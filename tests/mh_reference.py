@@ -103,7 +103,7 @@ def rwmh_reference(target, starts, n_burn, n_keep, rng):
         else:
             kept[:, it - n_burn] = x
             kept_acc += int(acc.sum())
-    constrained = np.array([target.to_constrained(v) for v in kept.reshape(-1, dim)])
+    constrained = target.to_constrained(kept.reshape(-1, dim))
     return ReferencePosterior(
         constrained.reshape(chains, n_keep, dim), kept_acc / (n_keep * chains)
     )

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from esnsmc import cli
+import esnsmc
+from esnsmc import cli, models, priors
 
 
 def run_cli(args):
@@ -106,6 +111,20 @@ class TestSimulate:
         assert data.shape == (400, 1)
 
 
+def test_import_leaves_slow_scipy_modules_unloaded():
+    """``scipy.stats`` and ``scipy.integrate`` are imported where they are
+    used, so ``compare``, ``me`` and ``simulate`` never pay for them."""
+    src = str(Path(esnsmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, esnsmc.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestFit:
     def test_gaussian_exact_path(self, tmp_path):
         data_path = tmp_path / "g.csv"
@@ -136,6 +155,21 @@ class TestFit:
         assert payload["parameters"]["sigma2"]["mean"] == pytest.approx(
             data.var(), abs=0.2
         )
+
+    def test_gaussian_exact_path_d2_names(self, tmp_path):
+        data_path, dump, out = tmp_path / "g2.csv", tmp_path / "g2.dump.csv", tmp_path / "fit.json"
+        z = np.random.default_rng(3).multivariate_normal([1.0, -1.0], [[2.0, 0.5], [0.5, 1.0]], 200)
+        cli.write_iid_csv(str(data_path), z)
+        cfg = write_config(
+            tmp_path / "g2fit.json",
+            {"model": "gaussian", "seed": 7, "input": str(data_path), "output": str(out),
+             "dump_particles": str(dump)},
+        )
+        assert run_cli(["fit", "--config", cfg]) == 0
+        names = models.make_gaussian_target(z, priors.default_hyper(2)[0]).param_names
+        assert names == ["xi1", "xi2", "sigma11", "sigma21", "sigma22"]
+        assert list(json.loads(out.read_text())["parameters"]) == names
+        assert cli._read_particles_csv(str(dump))[0] == names
 
     def test_esn_fit_round_trip_and_determinism(self, esn_dataset, tmp_path):
         outs = []

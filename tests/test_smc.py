@@ -578,6 +578,23 @@ class TestBatchConsistency:
 
     @pytest.mark.parametrize("gaussian_errors", [False, True])
     def test_esnsm_batch_matches_scalar(self, gaussian_errors):
+        self._check(*self._esnsm_case(gaussian_errors))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
+    def test_iid_constrained_map_of_a_matrix_is_row_by_row(self, model, d):
+        target, _, vmat = self._iid_case(model, d)
+        rows = np.array([target.to_constrained(v) for v in vmat])
+        assert np.array_equal(target.to_constrained(vmat), rows)
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_constrained_map_of_a_matrix_is_row_by_row(self, gaussian_errors):
+        target, _, vmat = self._esnsm_case(gaussian_errors)
+        rows = np.array([target.to_constrained(v) for v in vmat])
+        assert np.array_equal(target.to_constrained(vmat), rows)
+
+    @staticmethod
+    def _esnsm_case(gaussian_errors):
         rng = np.random.default_rng(32)
         truth = esnsm.EsnsmParams(
             [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
@@ -597,7 +614,7 @@ class TestBatchConsistency:
         vmat[:4, w] = [edge, -edge, math.atanh(1.0 - 1e-9), -math.atanh(1.0 - 1e-9)]
         if not gaussian_errors:
             vmat[4:8, -1] = [40.0, -40.0, 25.0, -25.0]
-        self._check(target, log_post, vmat)
+        return target, log_post, vmat
 
     @pytest.mark.parametrize("gaussian_errors", [False, True])
     def test_esnsm_batch_is_row_invariant(self, gaussian_errors):
