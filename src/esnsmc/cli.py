@@ -323,7 +323,7 @@ def _run_smc_fit(cfg: dict, seed: int):
         raise ConfigError(f"eta1_inflation must be positive and finite, got {inflation}")
     if pilot_iters < 1000:
         raise ConfigError(f"pilot_iterations must be at least 1000, got {pilot_iters}")
-    init = cfg.get("init", "pilot" if model == "esnsm" else "laplace")
+    init = cfg.get("init", "laplace")
     if init not in ("laplace", "pilot"):
         raise ConfigError(f"unknown init {init!r}")
     if model == "esnsm":
@@ -344,19 +344,14 @@ def _run_smc_fit(cfg: dict, seed: int):
             "p1" if model == "esn-p1" else "p2",
         )
 
-    init_ss = np.random.SeedSequence([seed, 0xE7A1])
     if init == "laplace":
         try:
             target.eta1 = smc.laplace_init(target, target.default_start, inflate=inflation)
         except EsnError:
-            # standard fallback when the posterior resists maximisation
-            target.eta1 = smc.pilot_mh_init(
-                target, pilot_iters, np.random.default_rng(init_ss), inflate=inflation
-            )
-    else:
-        target.eta1 = smc.pilot_mh_init(
-            target, pilot_iters, np.random.default_rng(init_ss), inflate=inflation
-        )
+            pass  # the pilot is the fallback when the posterior resists maximisation
+    if target.eta1 is None:
+        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
+        target.eta1 = smc.pilot_mh_init(target, pilot_iters, init_rng, inflate=inflation)
     return target, smc.run(target, config), data, hyper
 
 

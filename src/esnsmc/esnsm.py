@@ -27,7 +27,7 @@ from scipy.special import log_ndtr
 
 from . import esn, normals
 from .errors import DataError, ParameterDomainError
-from .normals import log_bvn_cdf, mills_ratio_inv, norm_logpdf
+from .normals import log_bvn_cdf, mills_ratio_inv, norm_logpdf, quad_form
 from .priors import iw_logpdf
 from .smc import TargetModel
 
@@ -597,8 +597,8 @@ def make_esnsm_target(
         lp = (
             prior_const
             - 0.5 * k_out * np.log(s1)
-            - 0.5 * np.einsum("nj,jk,nk->n", db, xtx1, db) / (hyper.c_beta1 * s1)
-            - 0.5 * np.einsum("nj,jk,nk->n", d2, prec2, d2)
+            - 0.5 * quad_form(db, xtx1) / (hyper.c_beta1 * s1)
+            - 0.5 * quad_form(d2, prec2)
             - 0.5 * (hyper.nu + 3.0) * np.log(s1)
             - 0.5 * v0 / s1
             - 0.5 * (a1 * a1 + a2 * a2) / hyper.sigma2_alpha

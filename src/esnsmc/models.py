@@ -8,6 +8,9 @@ log-Cholesky map), and wires the likelihood and prior into a
 matrices, in any dimension.  The Gaussian part of each likelihood works
 from the data's centred sufficient statistics, so the only
 particle-by-observation work is the skewing term of the ESN models.
+Sums over parameter indices are elementwise products added in index
+order or two-operand einsums, never BLAS products or three-operand
+einsums, so a particle gets the same bytes wherever it sits in a batch.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from scipy.special import log_ndtr
 
 from . import priors
 from .model_select import log_mv_gamma
+from .normals import quad_form
 from .smc import TargetModel
 
 __all__ = [
@@ -69,7 +73,7 @@ def chol_log_jacobian(u, d):
     ``u`` is one parameter vector or a matrix with one per row."""
     logdiag = np.asarray(u)[..., _diag_positions(d)]
     weights = d - np.arange(1, d + 1) + 2
-    return d * math.log(2.0) + logdiag @ weights
+    return d * math.log(2.0) + np.sum(logdiag * weights, axis=-1)
 
 
 def _inv_lower(lmat):
@@ -140,15 +144,10 @@ def param_names(d, scale="sigma", shape=None, shift=None):
     return vector("xi") + scales + (vector(shape) + [shift] if shape else [])
 
 
-def _quad(prec, u):
-    """u' P u per particle."""
-    return np.einsum("nj,njk,nk->n", u, prec, u)
-
-
 def _gauss_logpdf(x, mean, prec, logdet, kappa=1.0):
     """log N(x; mean, Sigma / kappa) per particle, given Sigma^{-1} and log|Sigma|."""
     d = x.shape[1]
-    return -0.5 * (d * (_LOG_2PI - math.log(kappa)) + logdet + kappa * _quad(prec, x - mean))
+    return -0.5 * (d * (_LOG_2PI - math.log(kappa)) + logdet + kappa * quad_form(x - mean, prec))
 
 
 def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v):
@@ -178,14 +177,17 @@ class _Stats:
 def _gauss_loglik(st, xi, prec, logdet):
     """sum_i log N(z_i; xi, Sigma) per particle, from the centred statistics:
     sum_i (z_i - xi)' P (z_i - xi) = tr(P S) + n (zbar - xi)' P (zbar - xi)."""
-    quad = np.einsum("njk,jk->n", prec, st.scatter) + st.n * _quad(prec, st.mean - xi)
+    quad = np.einsum("njk,jk->n", prec, st.scatter) + st.n * quad_form(st.mean - xi, prec)
     return -0.5 * (st.n * (st.d * _LOG_2PI + logdet) + quad)
 
 
 def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq):
     """IID ESN log-likelihood per particle under the hidden-truncation form
     (precision and log-determinant of the scale, shape, shift, c0^2)."""
-    arg = alpha @ st.z.T  # the one particle-by-observation array
+    # the one particle-by-observation array, summed column by column
+    arg = alpha[:, :1] * st.z[:, 0]
+    for j in range(1, st.d):
+        arg += alpha[:, j : j + 1] * st.z[:, j]
     arg += (lam - np.einsum("nj,nj->n", alpha, xi))[:, None]
     skew = log_ndtr(arg, out=arg).sum(axis=1)
     return _gauss_loglik(st, xi, prec, logdet) + skew - st.n * log_ndtr(lam / np.sqrt(c0sq))

@@ -80,6 +80,19 @@ def mills_ratio_inv(x):
     return np.exp(norm_logpdf(x) - special.log_ndtr(x))
 
 
+def quad_form(u, mat):
+    """u' M u for each row of ``u``, with one matrix M for all rows or one
+    per row.  The terms are added one by one in index order, so a row gets
+    the same bytes wherever it sits in a batch; a three-operand einsum
+    sums a lone row in another order than a row of a longer batch."""
+    d = u.shape[-1]
+    out = np.zeros(u.shape[:-1])
+    for j in range(d):
+        for k in range(d):
+            out = out + u[..., j] * mat[..., j, k] * u[..., k]
+    return out
+
+
 def _rows(h, k, r):
     """h, k and r as (R, P) arrays with one correlation per row: r's own
     axes lead and are kept, the rest of the broadcast shape becomes P.  When

@@ -413,20 +413,22 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     )
 
 
-def _fd_hessian(f, x, step=1e-4):
+def _fd_hessian(target: TargetModel, x, step=1e-4):
+    """Central-difference Hessian of the log target at x.  The four-point
+    stencil of every pair i <= j goes to the target as one batch of
+    4 d(d+1)/2 rows; a non-finite value raises ``InitializationError``."""
     d = x.shape[0]
     h = step * np.maximum(1.0, np.abs(x))
+    i, j = np.triu_indices(d)
+    ei = np.eye(d)[i] * h[i, None]
+    ej = np.eye(d)[j] * h[j, None]
+    f = target.log_target_many(
+        np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej])
+    ).reshape(4, -1)
+    if not np.isfinite(f).all():
+        raise InitializationError("log posterior not finite on the Hessian stencil at the mode")
     hess = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            val = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
+    hess[i, j] = hess[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h[i] * h[j])
     return hess
 
 
@@ -438,9 +440,12 @@ def _spd_floor(mat: np.ndarray, floor: float = 1e-8) -> np.ndarray:
 
 
 def _cov_from_precision(prec: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    """Invert a (near-)precision matrix with eigenvalues floored at ``floor``."""
+    """Invert a precision matrix with eigenvalues floored at ``floor``;
+    one that is not positive definite raises ``InitializationError``."""
     prec = 0.5 * (prec + prec.T)
     eigval, eigvec = np.linalg.eigh(prec)
+    if not eigval[0] > 0.0:
+        raise InitializationError("posterior curvature at the mode is not positive definite")
     eigval = np.maximum(eigval, floor)
     return (eigvec / eigval) @ eigvec.T
 
@@ -451,7 +456,10 @@ def laplace_init(
     """Gaussian initial distribution from a Laplace approximation:
     quasi-Newton ascent to the posterior mode (numerical gradients), then
     the inverse of the negated finite-difference Hessian, eigenvalue-floored
-    to stay positive definite.
+    against round-off.  Each gradient is one batch of ``dim`` rows and the
+    Hessian one batch; the line search evaluates one row at a time.
+    Raises ``InitializationError`` when the mode cannot be found or the
+    curvature there is not finite and positive definite.
 
     ``inflate`` scales the covariance; values above 1 overdisperse the
     initial distribution, which costs a few extra tempering stages but
@@ -466,7 +474,16 @@ def laplace_init(
         val = target.log_target(v)
         return -val if math.isfinite(val) else 1e30
 
-    res = minimize(neg, start, method="BFGS", options={"maxiter": max_iter, "gtol": 1e-7})
+    def neg_many(_fun, points):
+        # scipy's forward-difference points, as ``map(fun, points)`` would
+        # see them, in one batch
+        vals = target.log_target_many(np.array(list(points)))
+        return np.where(np.isfinite(vals), -vals, 1e30)
+
+    res = minimize(
+        neg, start, method="BFGS",
+        options={"maxiter": max_iter, "gtol": 1e-7, "workers": neg_many},
+    )
     # BFGS on slightly noisy numerical gradients often stops with a
     # "precision loss" flag at a perfectly good mode: judge by the
     # gradient scaled to the objective instead of the success flag.
@@ -481,9 +498,11 @@ def laplace_init(
         if not (res.success or neg(res.x) < 1e29):
             raise InitializationError(f"posterior maximisation failed: {res.message}")
     mode = res.x
-    hess = _fd_hessian(target.log_target, mode)
-    cov = _cov_from_precision(-hess)
-    return GaussianInit(mode, inflate * cov)
+    cov = _cov_from_precision(-_fd_hessian(target, mode))
+    try:
+        return GaussianInit(mode, inflate * cov)
+    except np.linalg.LinAlgError as exc:
+        raise InitializationError(f"Laplace covariance is not usable: {exc}") from exc
 
 
 def pilot_mh_init(

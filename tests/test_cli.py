@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import esnsmc
-from esnsmc import cli, models, priors
+from esnsmc import cli, models, priors, smc
+from esnsmc.errors import InitializationError
 
 
 def run_cli(args):
@@ -217,6 +218,40 @@ class TestFit:
         assert p["pct_deviation"] == pytest.approx(
             100.0 * (p["mean"] - 6.0) / 6.0, abs=1e-9
         )
+
+    @pytest.mark.parametrize("model", ["esn-p1", "esnsm"])
+    def test_laplace_is_the_default_and_the_pilot_its_fallback(
+        self, esn_dataset, tmp_path, monkeypatch, model
+    ):
+        settings = {"model": model, "seed": 9, "particles": 200, "pilot_iterations": 1000}
+        if model == "esn-p1":
+            settings["input"] = str(esn_dataset)
+        else:
+            data = tmp_path / "sel.csv"
+            sim = {
+                "model": "esnsm", "seed": 21, "n": 300, "output": str(data),
+                "params": {"B": [[3.0, -2.0, 0.0]], "beta2": [1.5, 0.0, 2.0], "sigma1": 6.0,
+                           "sigma12": 0.7348, "alpha": [2.0, 1.0], "lambda": -2.0},
+            }
+            assert run_cli(["simulate", "--config", write_config(tmp_path / "sim.cfg", sim)]) == 0
+            settings.update(input=str(data), outcome_terms=[0, 1], select_terms=[0, 2])
+
+        def fit(name, **extra):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.cfg", {**settings, **extra, "output": str(out)})
+            assert run_cli(["fit", "--config", cfg]) == 0
+            return out.read_bytes()
+
+        default = fit("default.json")
+        assert default == fit("laplace.json", init="laplace")
+        pilot = fit("pilot.json", init="pilot")
+        assert pilot != default
+
+        def fail(*args, **kwargs):
+            raise InitializationError("no mode")
+
+        monkeypatch.setattr(smc, "laplace_init", fail)
+        assert fit("fallback.json") == pilot
 
     def test_particle_dump(self, esn_dataset, tmp_path):
         dump = tmp_path / "particles.csv"

@@ -44,6 +44,23 @@ class TestUnivariate:
         assert normals.mills_ratio_inv(-40.0) == pytest.approx(40.0249, abs=1e-3)
         assert normals.mills_ratio_inv(0.0) == pytest.approx(math.sqrt(2.0 / math.pi))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_quad_form_rows_do_not_depend_on_the_batch(self, d):
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=(300, d)) * rng.lognormal(size=(300, 1))
+        a = rng.normal(size=(d, d))
+        shared = a @ a.T
+        per_row = rng.normal(size=(300, d, d))
+        cases = (
+            (shared, lambda i: shared, np.einsum("nj,jk,nk->n", u, shared, u)),
+            (per_row, lambda i: per_row[i : i + 1], np.einsum("nj,njk,nk->n", u, per_row, u)),
+        )
+        for mat, row, oracle in cases:
+            whole = normals.quad_form(u, mat)
+            single = np.concatenate([normals.quad_form(u[i : i + 1], row(i)) for i in range(300)])
+            assert whole.tobytes() == single.tobytes()
+            np.testing.assert_allclose(whole, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
 
 class TestBvn:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from esnsmc import esn, esnsm, model_select, models, priors, smc
 from esnsmc.errors import DegenerateSystemError, InitializationError, ParameterDomainError
@@ -454,6 +455,116 @@ class TestLaplaceInit:
         with pytest.raises(InitializationError):
             smc.laplace_init(target, np.zeros(1))
 
+    def test_non_finite_hessian_stencil_rejected(self):
+        # the ascent stops at the wall, where the stencil steps past it
+        def batch(vmat):
+            x = vmat[:, 0]
+            return np.where(x > 5e-5, -np.inf, -0.5 * (x - 1.0) ** 2)
+
+        target = smc.TargetModel(dim=1, log_target_batch=batch)
+        with pytest.raises(InitializationError, match="Hessian stencil"):
+            smc.laplace_init(target, np.array([-1.0]))
+
+    def test_saddle_rejected(self):
+        # zero gradient at the start, curvature of both signs
+        target = smc.TargetModel(
+            dim=2, log_target_batch=lambda vmat: vmat[:, 1] ** 2 - vmat[:, 0] ** 2
+        )
+        with pytest.raises(InitializationError, match="not positive definite"):
+            smc.laplace_init(target, np.zeros(2))
+
+    def test_ill_conditioned_curvature_never_escapes_as_linalg_error(self):
+        # curvatures far apart along rotated axes: round-off can leave the
+        # floored covariance indefinite, which must be an InitializationError
+        for angle in np.linspace(0.1, 1.5, 15):
+            c, s = math.cos(angle), math.sin(angle)
+            rot = np.array([[c, -s], [s, c]])
+            for small, big in ((1e-4, 1e12), (1e-4, 1e14), (1e-2, 1e14)):
+                prec = rot @ np.diag([small, big]) @ rot.T
+                target = smc.TargetModel(
+                    dim=2,
+                    log_target_batch=lambda v, p=prec: -0.5 * np.einsum("nj,jk,nk->n", v, p, v),
+                )
+                try:
+                    smc.laplace_init(target, np.zeros(2))
+                except InitializationError:
+                    pass
+
+    @staticmethod
+    def _scalar_reference(target, start, inflate):
+        """The initialiser with one-row calls throughout: scipy's BFGS
+        without ``workers``, then the Hessian stencil pair by pair."""
+
+        def neg(v):
+            val = target.log_target(v)
+            return -val if math.isfinite(val) else 1e30
+
+        res = minimize(neg, start, method="BFGS", options={"maxiter": 500, "gtol": 1e-7})
+        # the cases below converge without the Nelder-Mead polish
+        assert res.success or np.max(np.abs(res.jac)) < 1e-3 * (1.0 + abs(res.fun))
+        x, d = res.x, res.x.size
+        h = 1e-4 * np.maximum(1.0, np.abs(x))
+        hess = np.empty((d, d))
+        f = target.log_target
+        for i in range(d):
+            for j in range(i, d):
+                ei = np.zeros(d)
+                ej = np.zeros(d)
+                ei[i] = h[i]
+                ej[j] = h[j]
+                hess[i, j] = hess[j, i] = (
+                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                ) / (4.0 * h[i] * h[j])
+        return res, inflate * smc._cov_from_precision(-hess)
+
+    @staticmethod
+    def _target(model):
+        rng = np.random.default_rng(21)
+        if model == "esnsm":
+            truth = esnsm.EsnsmParams(
+                [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)],
+                [2.0, 1.0], -2.0,
+            )
+            data = esnsm.simulate(truth, 300, esnsm.CovariateSpec(), rng)
+            return esnsm.make_esnsm_target(
+                data, esnsm.EsnsmHyper.defaults(1, 2, 2, data.n), [0, 1], [0, 2]
+            )
+        d = int(model[-1])
+        z = esn.sample(
+            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+            300, rng,
+        )
+        return models.make_iid_esn_target(z, priors.default_hyper(d)[0], "p1")
+
+    @pytest.mark.parametrize("model", ["esnsm", "p1-d1", "p1-d2"])
+    def test_batched_equals_scalar_reference(self, model):
+        target = self._target(model)
+        eta = smc.laplace_init(target, target.default_start, inflate=4.0)
+        res, cov = self._scalar_reference(target, target.default_start, 4.0)
+        assert eta.mean.tobytes() == res.x.tobytes()
+        assert eta.cov.tobytes() == cov.tobytes()
+
+    def test_one_batch_per_gradient_and_for_the_hessian(self):
+        target = self._target("p1-d1")
+        dim = target.dim
+        batch = target.log_target_batch
+        rows = []
+
+        def counted(vmat):
+            rows.append(vmat.shape[0])
+            return batch(vmat)
+
+        target.log_target_batch = counted
+        smc.laplace_init(target, target.default_start)
+        target.log_target_batch = batch
+        res, _ = self._scalar_reference(target, target.default_start, 1.0)
+        # one-row function values, one dim-row batch per gradient, and the
+        # four-point stencil of every pair i <= j as the last batch
+        assert rows[-1] == 4 * dim * (dim + 1) // 2
+        assert set(rows[:-1]) == {1, dim}
+        assert rows.count(dim) == res.njev
+        assert rows.count(1) == res.nfev - dim * res.njev + 1
+
 
 class TestPilotInit:
     def test_gaussian_target_moments(self):
@@ -616,26 +727,57 @@ class TestBatchConsistency:
             vmat[4:8, -1] = [40.0, -40.0, 25.0, -25.0]
         return target, log_post, vmat
 
-    @pytest.mark.parametrize("gaussian_errors", [False, True])
-    def test_esnsm_batch_is_row_invariant(self, gaussian_errors):
+    @staticmethod
+    def _assert_row_invariant(target, vmat, rng):
         # a particle's value must not depend on where it sits in the batch:
         # the whole batch, the batch permuted, the batch cut into chunks of a
         # size other than the target's internal block, and one-row calls all
         # give the same bytes
-        rng = np.random.default_rng(33)
-        truth = esnsm.EsnsmParams(
-            [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
-        )
-        data = esnsm.simulate(truth, 1000, esnsm.CovariateSpec(), rng)
-        hyper = esnsm.EsnsmHyper.defaults(1, 3, 3, data.n)
-        target = esnsm.make_esnsm_target(data, hyper, [0, 1, 2], [0, 1, 2], gaussian_errors)
-        vmat = target.default_start + 0.3 * rng.normal(size=(200, target.dim))
         whole = target.log_target_batch(vmat)
         perm = rng.permutation(vmat.shape[0])
         permuted = np.empty_like(whole)
         permuted[perm] = target.log_target_batch(vmat[perm])
-        chunked = np.concatenate([target.log_target_batch(vmat[i : i + 7]) for i in range(0, 200, 7)])
+        chunks = [vmat[i : i + 7] for i in range(0, vmat.shape[0], 7)]
+        chunked = np.concatenate([target.log_target_batch(c) for c in chunks])
         single = np.array([target.log_target_batch(v[None])[0] for v in vmat])
         assert np.isfinite(whole).all()
         for other in (permuted, chunked, single):
             assert whole.tobytes() == other.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
+    def test_iid_batch_is_row_invariant(self, model, d):
+        rng = np.random.default_rng(34 + d)
+        z = esn.sample(
+            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+            500, rng,
+        )
+        h1, h2 = priors.default_hyper(d)
+        if model == "gaussian":
+            target = models.make_gaussian_target(z, h1)
+        else:
+            target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
+        vmat = target.default_start + 0.3 * rng.normal(size=(200, target.dim))
+        self._assert_row_invariant(target, vmat, rng)
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_batch_is_row_invariant(self, gaussian_errors):
+        self._esnsm_row_invariance(gaussian_errors, [0, 1, 2], [0, 1, 2], 1000, 200)
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_two_term_batch_is_row_invariant(self, gaussian_errors):
+        # two terms each, as the benchmark fits: the prior's quadratic forms
+        # were once summed in another order for a lone row, which shows in
+        # the total only when few observations leave the prior some weight
+        self._esnsm_row_invariance(gaussian_errors, [0, 1], [0, 2], 40, 2000)
+
+    def _esnsm_row_invariance(self, gaussian_errors, outcome_terms, select_terms, n, rows):
+        rng = np.random.default_rng(33)
+        truth = esnsm.EsnsmParams(
+            [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
+        )
+        data = esnsm.simulate(truth, n, esnsm.CovariateSpec(), rng)
+        hyper = esnsm.EsnsmHyper.defaults(1, len(outcome_terms), len(select_terms), data.n)
+        target = esnsm.make_esnsm_target(data, hyper, outcome_terms, select_terms, gaussian_errors)
+        vmat = target.default_start + 0.3 * rng.normal(size=(rows, target.dim))
+        self._assert_row_invariant(target, vmat, rng)
