@@ -33,7 +33,7 @@ _MODELS = ("esn-p1", "esn-p2", "gaussian", "esnsm")
 _KNOWN_KEYS = {
     "model", "seed", "n", "params", "input", "output", "particles", "mh_steps",
     "ess_threshold_fraction", "bisect_epsilon", "acceptance_band", "scale_init",
-    "init", "pilot_iterations", "eta1_inflation", "hyper", "truth",
+    "pilot_iterations", "eta1_inflation", "hyper", "truth",
     "dump_particles", "outcome_terms", "select_terms", "gaussian_errors",
     "covariates", "particle_dump", "covariate_index", "me_output_csv",
 }
@@ -323,9 +323,6 @@ def _run_smc_fit(cfg: dict, seed: int):
         raise ConfigError(f"eta1_inflation must be positive and finite, got {inflation}")
     if pilot_iters < 1000:
         raise ConfigError(f"pilot_iterations must be at least 1000, got {pilot_iters}")
-    init = cfg.get("init", "laplace")
-    if init not in ("laplace", "pilot"):
-        raise ConfigError(f"unknown init {init!r}")
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
@@ -344,12 +341,10 @@ def _run_smc_fit(cfg: dict, seed: int):
             "p1" if model == "esn-p1" else "p2",
         )
 
-    if init == "laplace":
-        try:
-            target.eta1 = smc.laplace_init(target, target.default_start, inflate=inflation)
-        except EsnError:
-            pass  # the pilot is the fallback when the posterior resists maximisation
-    if target.eta1 is None:
+    try:
+        target.eta1 = smc.laplace_init(target, target.default_start, inflate=inflation)
+    except EsnError:
+        # the pilot is the fallback when the posterior resists maximisation
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
         target.eta1 = smc.pilot_mh_init(target, pilot_iters, init_rng, inflate=inflation)
     return target, smc.run(target, config), data, hyper

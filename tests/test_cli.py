@@ -220,7 +220,7 @@ class TestFit:
         )
 
     @pytest.mark.parametrize("model", ["esn-p1", "esnsm"])
-    def test_laplace_is_the_default_and_the_pilot_its_fallback(
+    def test_laplace_start_falls_back_to_the_pilot(
         self, esn_dataset, tmp_path, monkeypatch, model
     ):
         settings = {"model": model, "seed": 9, "particles": 200, "pilot_iterations": 1000}
@@ -236,22 +236,28 @@ class TestFit:
             assert run_cli(["simulate", "--config", write_config(tmp_path / "sim.cfg", sim)]) == 0
             settings.update(input=str(data), outcome_terms=[0, 1], select_terms=[0, 2])
 
-        def fit(name, **extra):
+        def fit(name):
             out = tmp_path / name
-            cfg = write_config(tmp_path / f"{name}.cfg", {**settings, **extra, "output": str(out)})
+            cfg = write_config(tmp_path / f"{name}.cfg", {**settings, "output": str(out)})
             assert run_cli(["fit", "--config", cfg]) == 0
             return out.read_bytes()
 
-        default = fit("default.json")
-        assert default == fit("laplace.json", init="laplace")
-        pilot = fit("pilot.json", init="pilot")
-        assert pilot != default
+        pilot_runs = []
+        real_pilot = smc.pilot_mh_init
+
+        def pilot(target, n_iter, rng, **kwargs):
+            pilot_runs.append(n_iter)
+            return real_pilot(target, n_iter, rng, **kwargs)
 
         def fail(*args, **kwargs):
             raise InitializationError("no mode")
 
+        monkeypatch.setattr(smc, "pilot_mh_init", pilot)
+        laplace = fit("laplace.json")
+        assert pilot_runs == []
         monkeypatch.setattr(smc, "laplace_init", fail)
-        assert fit("fallback.json") == pilot
+        assert fit("fallback.json") != laplace
+        assert pilot_runs == [1000]
 
     def test_particle_dump(self, esn_dataset, tmp_path):
         dump = tmp_path / "particles.csv"
