@@ -63,16 +63,24 @@ def load_config(path: str, overrides: dict) -> dict:
 def _require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("a seed is required")
-    return _setting(cfg, "seed", None, int)
+    seed = _setting(cfg, "seed", None, int)
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
+    return seed
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _setting(cfg: dict, key: str, default, kind):
-    """``cfg[key]`` (or ``default``) converted by ``kind``; a value that does
-    not convert is a configuration error."""
-    try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {key}: {cfg.get(key)!r}") from exc
+    """``cfg[key]`` (or ``default``) as a ``kind``, int or float.  A value that
+    is not a JSON number, or not a whole one for an int, is a configuration
+    error."""
+    val = cfg.get(key, default)
+    if not _is_number(val) or (kind is int and isinstance(val, float) and not val.is_integer()):
+        raise ConfigError(f"invalid {key}: {val!r}")
+    return kind(val)
 
 
 def _build_hyper(cfg: dict, d: int):
@@ -226,18 +234,22 @@ def _stage_log(result: smc.SmcResult) -> list[dict]:
 
 
 def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
-    band = cfg.get("acceptance_band", (0.2, 0.6))
+    band = cfg.get("acceptance_band", [0.2, 0.6])
+    if not (isinstance(band, list) and len(band) == 2 and all(map(_is_number, band))):
+        raise ConfigError(f"acceptance_band must be two numbers, got {band!r}")
     try:
         return smc.SmcConfig(
-            n_particles=int(cfg.get("particles", 10_000)),
-            ess_threshold_fraction=float(cfg.get("ess_threshold_fraction", 0.5)),
-            mh_steps=int(cfg.get("mh_steps", 3)),
-            bisect_epsilon=float(cfg.get("bisect_epsilon", 1e-4)),
-            scale_init=cfg.get("scale_init"),
+            n_particles=_setting(cfg, "particles", 10_000, int),
+            ess_threshold_fraction=_setting(cfg, "ess_threshold_fraction", 0.5, float),
+            mh_steps=_setting(cfg, "mh_steps", 3, int),
+            bisect_epsilon=_setting(cfg, "bisect_epsilon", 1e-4, float),
+            scale_init=_setting(cfg, "scale_init", None, float) if "scale_init" in cfg else None,
             acceptance_band=(float(band[0]), float(band[1])),
             seed=seed,
+            eta1_inflation=_setting(cfg, "eta1_inflation", 4.0, float),
+            pilot_iterations=_setting(cfg, "pilot_iterations", 10_000, int),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid sampler settings: {exc}") from exc
 
 
@@ -316,13 +328,7 @@ def _run_smc_fit(cfg: dict, seed: int):
     target, the result, the dataset and the hyperparameters: an
     ``EsnsmHyper``, or the (P1, P2) pair of the IID priors."""
     model = cfg["model"]
-    config = _smc_config(cfg, seed)
-    inflation = _setting(cfg, "eta1_inflation", 4.0, float)
-    pilot_iters = _setting(cfg, "pilot_iterations", 10_000, int)
-    if not 0.0 < inflation < math.inf:
-        raise ConfigError(f"eta1_inflation must be positive and finite, got {inflation}")
-    if pilot_iters < 1000:
-        raise ConfigError(f"pilot_iterations must be at least 1000, got {pilot_iters}")
+    config = _smc_config(cfg, seed)  # before the data, so bad settings exit 2 first
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
@@ -340,13 +346,7 @@ def _run_smc_fit(cfg: dict, seed: int):
             data, hyper[0] if model == "esn-p1" else hyper[1],
             "p1" if model == "esn-p1" else "p2",
         )
-
-    try:
-        target.eta1 = smc.laplace_init(target, target.default_start, inflate=inflation)
-    except EsnError:
-        # the pilot is the fallback when the posterior resists maximisation
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
-        target.eta1 = smc.pilot_mh_init(target, pilot_iters, init_rng, inflate=inflation)
+    target.eta1 = smc.initial_distribution(target, config)
     return target, smc.run(target, config), data, hyper
 
 
@@ -355,9 +355,7 @@ def cmd_fit(cfg: dict) -> None:
     if "input" not in cfg:
         raise ConfigError("fit needs an input dataset")
     truth = cfg.get("truth") or {}
-    if not isinstance(truth, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in truth.values()
-    ):
+    if not (isinstance(truth, dict) and all(map(_is_number, truth.values()))):
         raise ConfigError(f"truth must map parameter names to numbers, got {truth!r}")
     model = cfg["model"]
     if model == "gaussian":

@@ -640,7 +640,6 @@ def make_esnsm_target(
         dim=dim,
         log_target_batch=batch,
         to_constrained=to_constrained,
-        to_unconstrained=to_unconstrained,
         param_names=names,
         default_start=to_unconstrained(start_theta),
     )

@@ -263,7 +263,6 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
         dim=pack.dim,
         log_target_batch=batch,
         to_constrained=pack.to_constrained,
-        to_unconstrained=pack.to_unconstrained,
         param_names=names,
         default_start=pack.to_unconstrained(start_theta),
     )
@@ -293,7 +292,6 @@ def make_gaussian_target(data, hyper) -> TargetModel:
         dim=pack.dim,
         log_target_batch=batch,
         to_constrained=pack.to_constrained,
-        to_unconstrained=pack.to_unconstrained,
         param_names=param_names(d),
         default_start=pack.to_unconstrained(start_theta),
     )

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .errors import DegenerateSystemError, InitializationError, NumericalError
+from .errors import DegenerateSystemError, EsnError, InitializationError, NumericalError
 
 __all__ = [
     "GaussianInit",
@@ -44,9 +44,12 @@ __all__ = [
     "rwmh_propagate",
     "evidence_increment",
     "run",
+    "initial_distribution",
     "laplace_init",
     "pilot_mh_init",
 ]
+
+_MAX_STAGES = 20_000  # a ladder this long means tempering has stalled
 
 
 def _identity(v):
@@ -95,13 +98,12 @@ class TargetModel:
     log-determinant of d(constrained)/d(unconstrained); it is the only
     route by which the target is evaluated.  ``to_constrained`` maps
     one unconstrained vector, or an (N, dim) matrix of them, to the flat
-    constrained layout; ``to_unconstrained`` maps one vector back.
+    constrained layout.
     """
 
     dim: int
     log_target_batch: Callable[[np.ndarray], np.ndarray]
     to_constrained: Callable[[np.ndarray], np.ndarray] = _identity
-    to_unconstrained: Callable[[np.ndarray], np.ndarray] = _identity
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
     default_start: Optional[np.ndarray] = None
@@ -148,7 +150,6 @@ class ParticleSystem:
     rho: float = 0.0
     log_evidence_acc: float = 0.0
     history: list[StageRecord] = field(default_factory=list)
-    proposal_cov: Optional[np.ndarray] = None
     scale: float = 1.0
     last_acceptance: float = 0.0
 
@@ -161,14 +162,6 @@ class ParticleSystem:
         """log pi - log eta1 per particle."""
         return self.log_pi - self.log_eta
 
-    def normalized_weights(self) -> np.ndarray:
-        lw = self.log_weights
-        m = np.max(lw)
-        if not np.isfinite(m):
-            raise DegenerateSystemError("all particle weights are zero")
-        w = np.exp(lw - m)
-        return w / w.sum()
-
 
 @dataclass
 class SmcConfig:
@@ -179,7 +172,8 @@ class SmcConfig:
     scale_init: Optional[float] = None  # 2.38^2 / dim when unset
     acceptance_band: tuple[float, float] = (0.2, 0.6)
     seed: int = 0
-    max_stages: int = 20_000
+    eta1_inflation: float = 4.0  # scales the covariance of eta1
+    pilot_iterations: int = 10_000  # length of the fallback pilot chain
 
     def __post_init__(self):
         if not 0.0 < self.ess_threshold_fraction < 1.0:
@@ -193,6 +187,10 @@ class SmcConfig:
             raise ValueError("acceptance_band must satisfy 0 <= lo < hi <= 1")
         if self.scale_init is not None and not 0.0 < self.scale_init < math.inf:
             raise ValueError("scale_init must be positive and finite")
+        if not 0.0 < self.eta1_inflation < math.inf:
+            raise ValueError("eta1_inflation must be positive and finite")
+        if self.pilot_iterations < 1000:
+            raise ValueError("pilot_iterations must be at least 1000")
 
 
 @dataclass
@@ -292,26 +290,23 @@ def rwmh_propagate(
     system: ParticleSystem,
     target: TargetModel,
     rho: float,
+    cov: np.ndarray,
     config: SmcConfig,
     rng: np.random.Generator,
 ) -> ParticleSystem:
     """Advance every particle with mh_steps Gaussian random-walk MH steps
     targeting the bridge density at temperature rho.
 
-    The proposal covariance is ``system.proposal_cov`` (the engine stores
-    the weighted pre-resampling particle covariance there) scaled by
-    ``system.scale``; a singular covariance falls back to its diagonal
-    plus a 1e-8 ridge.  Acceptance uses the bridge density in
-    unconstrained coordinates, Jacobian included; the current particles'
-    values come from ``system.log_pi`` and ``system.log_eta``, and the
-    accepted proposals' values are written back there.
+    The proposal covariance is ``cov`` (the engine passes the weighted
+    pre-resampling particle covariance) scaled by ``system.scale``; a
+    singular covariance falls back to its diagonal plus a 1e-8 ridge.
+    Acceptance uses the bridge density in unconstrained coordinates,
+    Jacobian included; the current particles' values come from
+    ``system.log_pi`` and ``system.log_eta``, and the accepted proposals'
+    values are written back there.
     """
     eta = target._eta1()
     x = system.particles
-    cov = system.proposal_cov
-    if cov is None:
-        w = system.normalized_weights()
-        cov = _weighted_cov(x, w)
     chol = _proposal_chol(cov, system.scale)
 
     cur_eta = system.log_eta
@@ -365,9 +360,9 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     )
 
     while system.rho < 1.0:
-        if len(system.history) >= config.max_stages:
+        if len(system.history) >= _MAX_STAGES:
             raise NumericalError(
-                f"tempering failed to reach rho = 1 in {config.max_stages} stages; "
+                f"tempering failed to reach rho = 1 in {_MAX_STAGES} stages; "
                 f"stalled at rho = {system.rho:.6f}"
             )
         t0 = time.perf_counter()
@@ -385,10 +380,9 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
         system.log_pi = system.log_pi[idx]
         system.log_eta = system.log_eta[idx]
         system.log_weights = np.full(n, -math.log(n))
-        system.proposal_cov = cov
         system.rho = rho_new
 
-        rwmh_propagate(system, target, rho_new, config, srng)
+        rwmh_propagate(system, target, rho_new, cov, config, srng)
         acc = system.last_acceptance
         system.history.append(
             StageRecord(
@@ -557,3 +551,14 @@ def pilot_mh_init(
     mean = tail.mean(axis=0)
     cov = _spd_floor(np.atleast_2d(np.cov(tail.T, ddof=1)))
     return GaussianInit(mean, inflate * cov)
+
+
+def initial_distribution(target: TargetModel, config: SmcConfig) -> GaussianInit:
+    """eta1 for ``run``: the Laplace approximation from the target's default
+    start, its covariance scaled by ``config.eta1_inflation``; if that raises
+    an ``EsnError``, a pilot MH chain of ``config.pilot_iterations`` steps."""
+    try:
+        return laplace_init(target, target.default_start, inflate=config.eta1_inflation)
+    except EsnError:
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE7A1]))
+        return pilot_mh_init(target, config.pilot_iterations, rng, inflate=config.eta1_inflation)

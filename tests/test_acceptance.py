@@ -33,9 +33,9 @@ def _report(number, ok, detail):
 def _fit_p1(data, n_particles, seed, hyper=None):
     h1 = hyper if hyper is not None else priors.default_hyper(1)[0]
     target = models.make_iid_esn_target(data, h1, "p1")
-    target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
-    out = smc.run(target, smc.SmcConfig(n_particles=n_particles, seed=seed))
-    return target, out
+    config = smc.SmcConfig(n_particles=n_particles, seed=seed)
+    target.eta1 = smc.initial_distribution(target, config)
+    return target, smc.run(target, config)
 
 
 class TestCriterion1:
@@ -198,7 +198,7 @@ class TestCriterion5:
         h1, _ = priors.default_hyper(1)
         m0 = model_select.gaussian_log_evidence(data, h1)
         target = models.make_gaussian_target(data, h1)
-        target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
+        target.eta1 = smc.initial_distribution(target, smc.SmcConfig())
         devs = []
         for seed in range(10):
             out = smc.run(target, smc.SmcConfig(n_particles=4000, seed=seed))
@@ -330,11 +330,9 @@ class TestCriterion7:
 def _fit_esnsm(data, seed, n_particles=2000):
     hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
     target = esnsm.make_esnsm_target(data, hyper, outcome_terms=[0, 1], select_terms=[0, 2])
-    target.eta1 = smc.pilot_mh_init(
-        target, 10_000, np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
-    )
-    out = smc.run(target, smc.SmcConfig(n_particles=n_particles, seed=seed))
-    return target, out
+    config = smc.SmcConfig(n_particles=n_particles, seed=seed)
+    target.eta1 = smc.initial_distribution(target, config)
+    return target, smc.run(target, config)
 
 
 class TestCriterion8:

@@ -487,6 +487,16 @@ class TestErrorPaths:
             ("simulate", {"model": "esnsm", "n": 0}),
             ("fit", {"init": "bogus"}),
             ("fit", {"model": "esnsm", "init": "bogus"}),
+            ("fit", {"seed": 1.5}),
+            ("fit", {"seed": -1}),
+            ("fit", {"particles": 200.7}),
+            ("fit", {"mh_steps": 2.9}),
+            ("fit", {"pilot_iterations": 1500.5}),
+            ("fit", {"scale_init": True}),
+            ("fit", {"acceptance_band": [0.2, 0.6, 0.9]}),
+            ("me", {"covariate_index": 1.5}),
+            ("simulate", {"n": 10.5}),
+            ("simulate", {"covariates": {"n_covariates": 2.5}}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )

@@ -229,10 +229,9 @@ class TestRwmhPropagate:
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = make_system(target, np.full(200, -math.log(200)),
                           np.random.default_rng(0).normal(size=(200, 1)))
-        sys.proposal_cov = np.eye(1)
         sys.scale = 1e-18
         cfg = smc.SmcConfig(n_particles=200, seed=0)
-        smc.rwmh_propagate(sys, target, 1.0, cfg, np.random.default_rng(1))
+        smc.rwmh_propagate(sys, target, 1.0, np.eye(1), cfg, np.random.default_rng(1))
         assert sys.last_acceptance > 0.999
 
     def test_gaussian_self_consistency(self):
@@ -242,10 +241,9 @@ class TestRwmhPropagate:
         rng = np.random.default_rng(2)
         n = 4000
         sys = make_system(target, np.full(n, -math.log(n)), target.eta1.sample(rng, n), rho=0.5)
-        sys.proposal_cov = 2.0 * np.eye(2)
         sys.scale = 2.38**2 / 2
         cfg = smc.SmcConfig(n_particles=n, mh_steps=3, seed=0)
-        smc.rwmh_propagate(sys, target, 0.5, cfg, rng)
+        smc.rwmh_propagate(sys, target, 0.5, 2.0 * np.eye(2), cfg, rng)
         se_mean = math.sqrt(2.0 / n)
         assert np.all(np.abs(sys.particles.mean(axis=0) - 1.0) < 4 * se_mean)
         var = sys.particles.var(axis=0)
@@ -260,11 +258,10 @@ class TestRwmhPropagate:
         rng = np.random.default_rng(3)
         n = 60_000
         sys = make_system(target, np.full(n, -math.log(n)), rng.standard_normal((n, 1)), rho=1.0)
-        sys.proposal_cov = np.eye(1)
         sys.scale = 1.0
         cfg = smc.SmcConfig(n_particles=n, mh_steps=1, seed=0)
         before = sys.particles[:, 0].copy()
-        smc.rwmh_propagate(sys, target, 1.0, cfg, rng)
+        smc.rwmh_propagate(sys, target, 1.0, np.eye(1), cfg, rng)
         after = sys.particles[:, 0]
         edges = [-0.43, 0.43]
         s0 = np.digitize(before, edges)
@@ -283,10 +280,10 @@ class TestRwmhPropagate:
         target.eta1 = smc.GaussianInit(np.zeros(2), np.eye(2))
         sys = make_system(target, np.full(50, -math.log(50)),
                           np.random.default_rng(4).normal(size=(50, 2)))
-        sys.proposal_cov = np.zeros((2, 2))  # singular
         sys.scale = 1.0
         cfg = smc.SmcConfig(n_particles=50, seed=0)
-        smc.rwmh_propagate(sys, target, 1.0, cfg, np.random.default_rng(5))  # no raise
+        singular = np.zeros((2, 2))
+        smc.rwmh_propagate(sys, target, 1.0, singular, cfg, np.random.default_rng(5))  # no raise
 
 
 class TestRun:
@@ -355,8 +352,9 @@ class TestRun:
         data = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 1000, rng)[:, 0]
         h1, _ = priors.default_hyper(1)
         target = models.make_iid_esn_target(data, h1, "p1")
-        target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
-        out = smc.run(target, smc.SmcConfig(n_particles=10_000, seed=1))
+        config = smc.SmcConfig(n_particles=10_000, seed=1)
+        target.eta1 = smc.initial_distribution(target, config)
+        out = smc.run(target, config)
         final = out.diagnostics[-1]
         assert 0.2 <= final.acceptance_rate <= 0.6
 
@@ -366,7 +364,7 @@ class TestRun:
         h1, _ = priors.default_hyper(1)
         m0 = model_select.gaussian_log_evidence(data, h1)
         target = models.make_gaussian_target(data, h1)
-        target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
+        target.eta1 = smc.initial_distribution(target, smc.SmcConfig())
         vals = [
             smc.run(target, smc.SmcConfig(n_particles=2000, seed=s)).log_evidence
             for s in range(5)
@@ -405,7 +403,6 @@ class TestParticleState:
         if model == "esn-p1":
             data = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 300, rng)[:, 0]
             target = models.make_iid_esn_target(data, priors.default_hyper(1)[0], "p1")
-            target.eta1 = smc.laplace_init(target, target.default_start, inflate=4.0)
         else:
             truth = esnsm.EsnsmParams(
                 [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)],
@@ -414,8 +411,9 @@ class TestParticleState:
             data = esnsm.simulate(truth, 300, esnsm.CovariateSpec(), rng)
             hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
             target = esnsm.make_esnsm_target(data, hyper, [0, 1], [0, 2])
-            target.eta1 = smc.pilot_mh_init(target, 1000, rng, inflate=4.0)
-        system = smc.run(target, smc.SmcConfig(n_particles=300, seed=3)).system
+        config = smc.SmcConfig(n_particles=300, seed=3)
+        target.eta1 = smc.initial_distribution(target, config)
+        system = smc.run(target, config).system
         x = system.particles
         np.testing.assert_allclose(system.log_pi, target.log_target_many(x), rtol=1e-12)
         np.testing.assert_allclose(system.log_eta, target.eta1.logpdf_batch(x), rtol=1e-12)
@@ -586,6 +584,58 @@ class TestPilotInit:
         assert np.array_equal(a.cov, b.cov)
 
 
+class TestInitialDistribution:
+    """The start of every fit: Laplace, with the pilot as its fallback."""
+
+    @staticmethod
+    def _target():
+        data = esn.sample(esn.EsnParamsP1(2.0, 6.0, 5.0, -2.0), 100, np.random.default_rng(3))
+        return models.make_iid_esn_target(data[:, 0], priors.default_hyper(1)[0], "p1")
+
+    @pytest.fixture()
+    def pilot_runs(self, monkeypatch):
+        runs, real = [], smc.pilot_mh_init
+
+        def pilot(target, iterations, rng, **kwargs):
+            runs.append(iterations)
+            return real(target, iterations, rng, **kwargs)
+
+        monkeypatch.setattr(smc, "pilot_mh_init", pilot)
+        return runs
+
+    def test_laplace_when_it_succeeds(self, pilot_runs):
+        target = self._target()
+        config = smc.SmcConfig(seed=5, eta1_inflation=3.0)
+        eta = smc.initial_distribution(target, config)
+        ref = smc.laplace_init(target, target.default_start, inflate=3.0)
+        assert eta.mean.tobytes() == ref.mean.tobytes()
+        assert eta.cov.tobytes() == ref.cov.tobytes()
+        assert pilot_runs == []
+
+    def test_pilot_when_laplace_fails(self, pilot_runs, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InitializationError("no mode")
+
+        target = self._target()
+        config = smc.SmcConfig(seed=5, eta1_inflation=3.0, pilot_iterations=1200)
+        monkeypatch.setattr(smc, "laplace_init", fail)
+        eta = smc.initial_distribution(target, config)
+        assert pilot_runs == [1200]
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0xE7A1]))
+        ref = smc.pilot_mh_init(target, 1200, rng, inflate=3.0)
+        assert eta.mean.tobytes() == ref.mean.tobytes()
+        assert eta.cov.tobytes() == ref.cov.tobytes()
+
+    def test_other_errors_propagate(self, pilot_runs, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not a package error")
+
+        monkeypatch.setattr(smc, "laplace_init", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            smc.initial_distribution(self._target(), smc.SmcConfig())
+        assert pilot_runs == []
+
+
 class TestConfigValidation:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
@@ -598,6 +648,16 @@ class TestConfigValidation:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             smc.SmcConfig(bisect_epsilon=0.0)
+
+    @pytest.mark.parametrize("inflation", [0.0, -1.0, math.inf])
+    def test_bad_inflation(self, inflation):
+        with pytest.raises(ValueError):
+            smc.SmcConfig(eta1_inflation=inflation)
+
+    def test_short_pilot(self):
+        smc.SmcConfig(pilot_iterations=1000)
+        with pytest.raises(ValueError):
+            smc.SmcConfig(pilot_iterations=999)
 
 
 class TestHypothesisProperties:
