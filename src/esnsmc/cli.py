@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -24,90 +24,135 @@ from .errors import (
     DataError,
     EsnError,
     NumericalError,
-    ParameterDomainError,
 )
 from .summaries import summarize_particles
 
 _MODELS = ("esn-p1", "esn-p2", "gaussian", "esnsm")
 
-_KNOWN_KEYS = {
-    "model", "seed", "n", "params", "input", "output", "particles", "mh_steps",
-    "ess_threshold_fraction", "bisect_epsilon", "acceptance_band", "scale_init",
-    "pilot_iterations", "eta1_inflation", "hyper", "truth",
-    "dump_particles", "outcome_terms", "select_terms", "gaussian_errors",
-    "covariates", "particle_dump", "covariate_index", "me_output_csv",
-}
+
+# ------------------------------------------------------- config key kinds
+# Each kind returns its JSON value converted, or raises TypeError or
+# ValueError.
 
 
-def load_config(path: str, overrides: dict) -> dict:
+def _of(val, kind, what: str):
+    """``val`` if it is of the JSON ``kind``; a boolean is not a number."""
+    if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
+        raise TypeError(f"not {what}")
+    return val
+
+
+def _number(val) -> float:
+    return float(_of(val, (int, float), "a number"))
+
+
+def _whole(val, least: float = -math.inf) -> int:
+    if not _number(val).is_integer() or val < least:
+        raise ValueError(f"not a whole number of at least {least}")
+    return int(val)
+
+
+def _text(val) -> str:
+    if not _of(val, str, "a string"):
+        raise ValueError("empty")
+    return val
+
+
+def _flag(val) -> bool:
+    return _of(val, bool, "a boolean")
+
+
+def _pair(val) -> tuple[float, float]:
+    if len(_of(val, list, "a list")) != 2:
+        raise ValueError("not two numbers")
+    return _number(val[0]), _number(val[1])
+
+
+def _indices(val) -> list[int]:
+    return [_of(t, int, "an integer") for t in _of(val, list, "a list")]
+
+
+def _array(val):
+    """A number, or a non-empty list of arrays."""
+    return [_array(v) for v in val] if isinstance(val, list) and val else _number(val)
+
+
+def _object(val, kind) -> dict:
+    return {name: kind(v) for name, v in _of(val, dict, "an object").items()}
+
+
+def _checked(cfg, table: dict) -> dict:
+    """``cfg`` with each value converted by its kind in ``table``.  A key not
+    in the table, or a value not of its kind, is a configuration error."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"not a JSON object: {cfg!r}")
+    checked = {}
+    for key, val in cfg.items():
+        if key not in table:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            checked[key] = table[key](val)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {key}: {val!r}") from exc
+    return checked
+
+
+_COVARIATE_KINDS = {"n_covariates": _whole, "variance": _number, "intercept": _flag}
+_KIND_KEYS = (  # each JSON kind, and the config keys of that kind
+    (_text, ("model", "input", "output", "dump_particles", "particle_dump", "me_output_csv")),
+    (_flag, ("gaussian_errors",)),
+    (lambda val: _whole(val, 0), ("seed",)),
+    (lambda val: _whole(val, 1), ("n",)),
+    (_whole, ("particles", "mh_steps", "pilot_iterations", "covariate_index")),
+    (_number, ("ess_threshold_fraction", "bisect_epsilon", "scale_init", "eta1_inflation")),
+    (_pair, ("acceptance_band",)),
+    (_indices, ("outcome_terms", "select_terms")),
+    (lambda val: _object(val, _number), ("truth",)),
+    (lambda val: _object(val, _array), ("params", "hyper")),
+    (lambda val: _checked(val, _COVARIATE_KINDS), ("covariates",)),
+)
+_KINDS = {key: kind for kind, keys in _KIND_KEYS for key in keys}
+
+
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+        raise ConfigError(f"cannot read the {what}: {exc}") from exc
+
+
+def load_config(path: str, overrides: dict, command: str) -> dict:
+    """The config file with ``overrides`` applied, every value checked and
+    converted, and the keys ``command`` needs present.  Reads no data."""
+    cfg = _checked(_read_json(path, "config file"), _KINDS)
+    cfg.update(_checked(overrides, _KINDS))
     if cfg.get("model") not in _MODELS:
         raise ConfigError(f"config must set model to one of {_MODELS}")
+    missing = [key for key in _COMMANDS[command][1] if key not in cfg]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
     return cfg
 
 
-def _require_seed(cfg: dict) -> int:
-    if "seed" not in cfg:
-        raise ConfigError("a seed is required")
-    seed = _setting(cfg, "seed", None, int)
-    if seed < 0:
-        raise ConfigError(f"seed must not be negative, got {seed}")
-    return seed
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _setting(cfg: dict, key: str, default, kind):
-    """``cfg[key]`` (or ``default``) as a ``kind``, int or float.  A value that
-    is not a JSON number, or not a whole one for an int, is a configuration
-    error."""
-    val = cfg.get(key, default)
-    if not _is_number(val) or (kind is int and isinstance(val, float) and not val.is_integer()):
-        raise ConfigError(f"invalid {key}: {val!r}")
-    return kind(val)
-
-
 def _build_hyper(cfg: dict, d: int):
+    """The default IID hyperparameter pair of dimension ``d``, with the
+    config's ``hyper`` entries in place of the defaults."""
     h1, h2 = priors.default_hyper(d)
     over = cfg.get("hyper", {})
-    if not isinstance(over, dict):
-        raise ConfigError("hyper must be an object")
+    own2 = {f.name for f in fields(h2)}
     try:
-        for key, val in over.items():
-            owner = h1 if hasattr(h1, key) else h2 if hasattr(h2, key) else None
-            if owner is None:
-                raise ConfigError(f"unknown hyperparameter {key!r}")
-            cur = getattr(owner, key)
-            val = np.asarray(val, float) if isinstance(cur, np.ndarray) else float(val)
-            setattr(owner, key, val)
-        h1.__post_init__()
-        h2.__post_init__()
-    except (TypeError, ValueError) as exc:
+        return (
+            replace(h1, **{key: val for key, val in over.items() if key not in own2}),
+            replace(h2, **{key: val for key, val in over.items() if key in own2}),
+        )
+    except (TypeError, ValueError) as exc:  # also an unknown name
         raise ConfigError(f"invalid hyperparameters: {exc}") from exc
-    return h1, h2
 
 
 def _params_from_config(cfg: dict):
     model = cfg["model"]
-    p = cfg.get("params")
-    if not isinstance(p, dict):
-        raise ConfigError("simulate needs a params object")
+    p = cfg["params"]
     try:
         if model == "esn-p1":
             return esn.EsnParamsP1(p["xi"], p["sigma"], p["alpha"], p["lambda"])
@@ -120,7 +165,7 @@ def _params_from_config(cfg: dict):
         )
     except KeyError as exc:
         raise ConfigError(f"params block is missing {exc}") from exc
-    except (ParameterDomainError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameter values: {exc}") from exc
 
 
@@ -214,9 +259,8 @@ def _read_particles_csv(path: str):
 
 def _emit(cfg: dict, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
-    out = cfg.get("output")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if "output" in cfg:
+        with open(cfg["output"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -233,22 +277,12 @@ def _stage_log(result: smc.SmcResult) -> list[dict]:
     return out
 
 
-def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
-    band = cfg.get("acceptance_band", [0.2, 0.6])
-    if not (isinstance(band, list) and len(band) == 2 and all(map(_is_number, band))):
-        raise ConfigError(f"acceptance_band must be two numbers, got {band!r}")
+def _smc_config(cfg: dict) -> smc.SmcConfig:
+    """The sampler settings of ``cfg``; the defaults live in ``SmcConfig``."""
+    settings = {"n_particles" if key == "particles" else key: val for key, val in cfg.items()}
+    names = {f.name for f in fields(smc.SmcConfig)}
     try:
-        return smc.SmcConfig(
-            n_particles=_setting(cfg, "particles", 10_000, int),
-            ess_threshold_fraction=_setting(cfg, "ess_threshold_fraction", 0.5, float),
-            mh_steps=_setting(cfg, "mh_steps", 3, int),
-            bisect_epsilon=_setting(cfg, "bisect_epsilon", 1e-4, float),
-            scale_init=_setting(cfg, "scale_init", None, float) if "scale_init" in cfg else None,
-            acceptance_band=(float(band[0]), float(band[1])),
-            seed=seed,
-            eta1_inflation=_setting(cfg, "eta1_inflation", 4.0, float),
-            pilot_iterations=_setting(cfg, "pilot_iterations", 10_000, int),
-        )
+        return smc.SmcConfig(**{key: val for key, val in settings.items() if key in names})
     except ValueError as exc:
         raise ConfigError(f"invalid sampler settings: {exc}") from exc
 
@@ -257,24 +291,12 @@ def _smc_config(cfg: dict, seed: int) -> smc.SmcConfig:
 
 
 def cmd_simulate(cfg: dict) -> None:
-    seed = _require_seed(cfg)
-    n = _setting(cfg, "n", 1000, int)
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    out = cfg.get("output")
-    if not out:
-        raise ConfigError("simulate needs an output path")
-    rng = np.random.default_rng(seed)
+    n = cfg.get("n", 1000)
+    out = cfg["output"]
+    rng = np.random.default_rng(cfg["seed"])
     params = _params_from_config(cfg)
     if cfg["model"] == "esnsm":
-        cov = cfg.get("covariates", {})
-        if not isinstance(cov, dict):
-            raise ConfigError("covariates must be an object")
-        spec = esnsm.CovariateSpec(
-            n_covariates=_setting(cov, "n_covariates", 2, int),
-            variance=_setting(cov, "variance", 2.0, float),
-            intercept=bool(cov.get("intercept", True)),
-        )
+        spec = esnsm.CovariateSpec(**cfg.get("covariates", {}))
         if spec.n_covariates + spec.intercept != params.k1 or not 0.0 < spec.variance < math.inf:
             raise ConfigError(
                 f"covariates must give {params.k1} design columns and a positive finite variance"
@@ -286,7 +308,7 @@ def cmd_simulate(cfg: dict) -> None:
         write_iid_csv(out, draws)
 
 
-def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
+def _gaussian_exact_fit(cfg: dict, data: np.ndarray):
     """Conjugate path: draws from the exact posterior, their names and the
     log evidence, with no sampler."""
     from scipy.stats import invwishart  # slow to import; only this path needs it
@@ -294,7 +316,7 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
     d = data.shape[1]
     h1, _ = _build_hyper(cfg, d)
     kappa_n, nu_n, xi_n, v_n = model_select.niw_posterior(data, h1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     n_draws = 100_000
     sig = invwishart.rvs(df=nu_n, scale=v_n, size=n_draws, random_state=rng)
     sig = sig.reshape(n_draws, d, d)
@@ -307,15 +329,9 @@ def _gaussian_exact_fit(cfg: dict, data: np.ndarray, seed: int):
 
 
 def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
-    """A covariate-column list from the config: distinct integers in 0..k1-1."""
+    """A covariate-column list from the config: distinct indices in 0..k1-1."""
     terms = cfg.get(key, list(range(k1)))
-    valid = (
-        isinstance(terms, list)
-        and len(terms) > 0
-        and all(isinstance(t, int) and not isinstance(t, bool) and 0 <= t < k1 for t in terms)
-        and len(set(terms)) == len(terms)
-    )
-    if not valid:
+    if not terms or len(set(terms)) < len(terms) or not all(0 <= t < k1 for t in terms):
         raise ConfigError(
             f"{key} must be a non-empty list of distinct column indices in 0..{k1 - 1}, "
             f"got {terms!r}"
@@ -323,12 +339,12 @@ def _term_list(cfg: dict, key: str, k1: int) -> list[int]:
     return terms
 
 
-def _run_smc_fit(cfg: dict, seed: int):
+def _run_smc_fit(cfg: dict):
     """Read the dataset, build the target and run the sampler.  Returns the
     target, the result, the dataset and the hyperparameters: an
     ``EsnsmHyper``, or the (P1, P2) pair of the IID priors."""
     model = cfg["model"]
-    config = _smc_config(cfg, seed)  # before the data, so bad settings exit 2 first
+    config = _smc_config(cfg)  # before the data, so bad settings exit 2 first
     if model == "esnsm":
         data = read_esnsm_csv(cfg["input"])
         k1 = data.x.shape[1]
@@ -337,7 +353,7 @@ def _run_smc_fit(cfg: dict, seed: int):
         hyper = esnsm.EsnsmHyper.defaults(data.y.shape[1], len(outcome_terms), len(select_terms), data.n)
         target = esnsm.make_esnsm_target(
             data, hyper, outcome_terms, select_terms,
-            gaussian_errors=bool(cfg.get("gaussian_errors", False)),
+            gaussian_errors=cfg.get("gaussian_errors", False),
         )
     else:
         data = read_iid_csv(cfg["input"])
@@ -351,57 +367,48 @@ def _run_smc_fit(cfg: dict, seed: int):
 
 
 def cmd_fit(cfg: dict) -> None:
-    seed = _require_seed(cfg)
-    if "input" not in cfg:
-        raise ConfigError("fit needs an input dataset")
-    truth = cfg.get("truth") or {}
-    if not (isinstance(truth, dict) and all(map(_is_number, truth.values()))):
-        raise ConfigError(f"truth must map parameter names to numbers, got {truth!r}")
     model = cfg["model"]
     if model == "gaussian":
         data = read_iid_csv(cfg["input"])
-        theta, names, log_evidence = _gaussian_exact_fit(cfg, data, seed)
+        theta, names, log_evidence = _gaussian_exact_fit(cfg, data)
         stages = []
     else:
-        target, result, data, _ = _run_smc_fit(cfg, seed)
+        target, result, data, _ = _run_smc_fit(cfg)
         theta, names = result.constrained_particles(target), target.param_names
         log_evidence, stages = result.log_evidence, _stage_log(result)
     parameters = summarize_particles(theta, names)
     if model == "esnsm":
         ratio = theta[:, names.index("sigma12")] / np.sqrt(theta[:, names.index("sigma1")])
         parameters["rho"] = summarize_particles(ratio[:, None], ["rho"])["rho"]
-    for name, true_val in truth.items():
+    for name, true_val in cfg.get("truth", {}).items():
         if name in parameters and true_val != 0:
             est = parameters[name]["mean"]
             parameters[name]["pct_deviation"] = 100.0 * (est - true_val) / true_val
     payload = {
         "model": model,
-        "seed": seed,
+        "seed": cfg["seed"],
         "n_observations": data.n if model == "esnsm" else data.shape[0],
         "log_evidence": log_evidence,
         "parameters": parameters,
         "stages": stages,
     }
-    if cfg.get("dump_particles"):
+    if "dump_particles" in cfg:
         _write_matrix_csv(cfg["dump_particles"], names, theta)
     _emit(cfg, payload)
 
 
 def cmd_compare(cfg: dict) -> None:
-    seed = _require_seed(cfg)
     if cfg["model"] == "gaussian":
         raise ConfigError("compare needs an alternative model (esn-p1 or esn-p2)")
     if cfg["model"] == "esnsm":
         raise ConfigError("compare supports the IID models only")
-    if "input" not in cfg:
-        raise ConfigError("compare needs an input dataset")
-    _, result, data, (h1, _) = _run_smc_fit(cfg, seed)
+    _, result, data, (h1, _) = _run_smc_fit(cfg)
     log_m0 = model_select.gaussian_log_evidence(data, h1)
     comp = model_select.classify_bayes_factor(result.log_evidence, log_m0)
     payload = {
         "model1": cfg["model"],
         "model0": "gaussian",
-        "seed": seed,
+        "seed": cfg["seed"],
         "n_observations": data.shape[0],
         "log_m1": comp.log_m1,
         "log_m0": comp.log_m0,
@@ -413,35 +420,40 @@ def cmd_compare(cfg: dict) -> None:
 
 
 def cmd_marginal_effects(cfg: dict) -> None:
-    seed = _require_seed(cfg)
     if cfg["model"] != "esnsm":
         raise ConfigError("marginal effects require the selection model")
-    if "input" not in cfg or "particle_dump" not in cfg:
-        raise ConfigError("marginal effects need input data and a fitted particle dump")
     data = read_esnsm_csv(cfg["input"])
     names, theta = _read_particles_csv(cfg["particle_dump"])
     try:
         params = esnsm.params_from_particle(names, theta.mean(axis=0), data.x.shape[1])
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"particle dump does not match the selection data: {exc!r}") from exc
-    k = _setting(cfg, "covariate_index", data.x.shape[1] - 1, int)
+    k = cfg.get("covariate_index", data.x.shape[1] - 1)
     if not 0 <= k < data.x.shape[1]:
         raise ConfigError("covariate_index out of range")
     effects = esnsm.marginal_effect(params, data.x, k)
-    me_csv = cfg.get("me_output_csv")
-    if me_csv:
-        with open(me_csv, "w", newline="", encoding="utf-8") as fh:
+    if "me_output_csv" in cfg:
+        with open(cfg["me_output_csv"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "marginal_effect"])
             writer.writerows([i, repr(float(v))] for i, v in enumerate(effects))
     payload = {
         "model": "esnsm",
-        "seed": seed,
+        "seed": cfg["seed"],
         "covariate_index": k,
         "n_individuals": int(data.n),
         "average_marginal_effect": float(effects.mean()),
     }
     _emit(cfg, payload)
+
+
+# command: its function, and the config keys it reads with no default
+_COMMANDS = {
+    "simulate": (cmd_simulate, ("seed", "params", "output")),
+    "fit": (cmd_fit, ("seed", "input")),
+    "compare": (cmd_compare, ("seed", "input")),
+    "me": (cmd_marginal_effects, ("seed", "input", "particle_dump")),
+}
 
 
 def load_schema(name: str) -> dict:
@@ -455,7 +467,7 @@ def main(argv=None) -> int:
         description="Extended skew-normal estimation via tempered sequential Monte Carlo",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "fit", "compare", "me"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
@@ -465,29 +477,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        overrides = {"seed": args.seed, "particles": args.particles, "output": args.out}
-        cfg = load_config(args.config, overrides)
-        if args.truth:
-            with open(args.truth, "r", encoding="utf-8") as fh:
-                try:
-                    cfg["truth"] = json.load(fh)
-                except ValueError as exc:  # not JSON, or not text
-                    raise ConfigError(f"truth file is not valid JSON: {exc}") from exc
-        if args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "fit":
-            cmd_fit(cfg)
-        elif args.command == "compare":
-            cmd_compare(cfg)
-        else:
-            cmd_marginal_effects(cfg)
+        flags = {"seed": args.seed, "particles": args.particles, "output": args.out}
+        overrides = {key: val for key, val in flags.items() if val is not None}
+        if args.truth is not None:
+            overrides["truth"] = _read_json(args.truth, "truth file")
+        cfg = load_config(args.config, overrides, args.command)
+        _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, EsnError, np.linalg.LinAlgError) as exc:
