@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -497,6 +498,16 @@ class TestErrorPaths:
             ("me", {"covariate_index": 1.5}),
             ("simulate", {"n": 10.5}),
             ("simulate", {"covariates": {"n_covariates": 2.5}}),
+            ("fit", {"model": "esnsm", "gaussian_errors": "false"}),
+            ("simulate", {"covariates": {"intercept": "false"}}),
+            ("fit", {"hyper": {"V": [["12"]], "kappa": True}}),
+            ("simulate", {"params": {"xi": "2.0", "sigma": "6", "alpha": True, "lambda": "-2"}}),
+            # an unused file descriptor: 0, 1 and 2 would be this process's own
+            ("fit", {"input": 987}),
+            ("simulate", {"output": 987}),
+            ("fit", {"dump_particles": 987}),
+            ("fit", {"truth": None}),
+            ("fit", {"dump_particles": False}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -589,6 +600,64 @@ class TestErrorPaths:
         )
         assert run_cli(["simulate", "--config", cfg_sim]) == 0
         return data_path
+
+
+# A value of the wrong JSON kind for each config key.
+WRONG_KIND = {
+    "model": 987,
+    "input": 987,
+    "output": 987,
+    "dump_particles": 987,
+    "particle_dump": [],
+    "me_output_csv": {"path": "me.csv"},
+    "gaussian_errors": "false",
+    "seed": "1",
+    "n": True,
+    "particles": "200",
+    "mh_steps": [3],
+    "pilot_iterations": None,
+    "covariate_index": "2",
+    "ess_threshold_fraction": "0.5",
+    "bisect_epsilon": True,
+    "scale_init": [1.0],
+    "eta1_inflation": {"x": 4.0},
+    "acceptance_band": [0.2, "0.6"],
+    "outcome_terms": [0, 1.0],
+    "select_terms": [True, 1],
+    "truth": {"xi": "2"},
+    "params": {"xi": "2.0"},
+    "hyper": {"V": [["12"]]},
+    "covariates": {"intercept": "false"},
+}
+
+
+class TestConfigTable:
+    def test_every_config_key_has_a_wrong_kind_case(self):
+        assert set(WRONG_KIND) == set(cli._KINDS)
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "compare", "me"])
+    @pytest.mark.parametrize("key", sorted(WRONG_KIND))
+    def test_wrong_kind_exits_2_before_any_file_is_read(self, tmp_path, command, key):
+        out = tmp_path / "out.csv"
+        cfg = {"model": "esn-p1", "seed": 1, "input": str(tmp_path / "absent.csv")}
+        if command == "simulate":
+            cfg.update(params={"xi": 2.0, "sigma": 6.0, "alpha": 5.0, "lambda": -2.0},
+                       output=str(out))
+        elif command == "me":
+            cfg.update(model="esnsm", particle_dump=str(tmp_path / "absent_dump.csv"))
+        cfg[key] = WRONG_KIND[key]
+        assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg)]) == 2
+        assert not out.exists()
+
+    def test_readme_example_configs_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(
+            r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\nesn-smc (\w+) --config \1", readme, re.S
+        )
+        assert examples and len(examples) == readme.count("<<'EOF'")
+        for name, text, command in examples:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            cli.load_config(str(tmp_path / name), {}, command)
 
 
 class TestP2Fit:
