@@ -508,6 +508,7 @@ class TestErrorPaths:
             ("fit", {"dump_particles": 987}),
             ("fit", {"truth": None}),
             ("fit", {"dump_particles": False}),
+            ("fit", {"hyper": {"d": 3}}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -540,6 +541,12 @@ class TestErrorPaths:
             cfg["input"] = str(tmp_path / "data.csv")
         cfg.update(settings)
         assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg), *argv]) == 2
+
+    def test_unreadable_config_or_truth_file_is_config_error(self, tmp_path):
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
+        assert run_cli(["fit", "--config", tmp_path / "binary.cfg"]) == 2
+        cfg = write_config(tmp_path / "ok.cfg", {"model": "esn-p1", "seed": 1, "input": "x.csv"})
+        assert run_cli(["fit", "--config", cfg, "--truth", tmp_path / "absent.json"]) == 2
 
     def test_invalid_simulation_params_is_config_error(self, tmp_path):
         cfg = write_config(
