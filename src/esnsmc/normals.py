@@ -1,15 +1,13 @@
 """Gaussian building blocks: stable Phi / log Phi and low-dimensional
 multivariate normal CDFs.
 
-The univariate pieces wrap ``scipy.special`` (erfc-based, with the
-asymptotic branch for large negative arguments), so ``log Phi`` stays
-finite for every finite argument.  The bivariate CDF is Genz's (2004)
-Drezner-Genz rule, broadcast over both limits and the correlation, with
-the work that depends on the correlation alone done once per correlation;
-the trivariate CDF conditions on one coordinate and integrates the
-bivariate CDF with adaptive quadrature; dimension four uses randomised
-quasi-Monte Carlo with a reported standard error.  Dimensions above
-four are not supported.
+The univariate pieces wrap ``scipy.special``, so ``log Phi`` stays finite
+for every finite argument.  The bivariate CDF is Genz's (2004) Drezner-Genz
+rule, broadcast over both limits and the correlation; its log takes all the
+points of a call with p <= 1e-10 to one vectorised log-space quadrature.
+The trivariate CDF integrates the bivariate one with adaptive quadrature;
+dimension four uses randomised quasi-Monte Carlo with a reported standard
+error, and no rule goes beyond four.
 """
 
 from __future__ import annotations
@@ -53,7 +51,9 @@ _GL = tuple(
     for x, w in _GL_HALF
 )
 _RULE_EDGES = np.array([0.3, 0.75, 0.925])  # |r| where rules 1 and 2 and the expansion begin
-_NODE_BLOCK = 2**14  # node-by-point terms per pass of the |r| < 0.925 rule
+_NODE_BLOCK = 2**14  # node-by-point terms per pass of a node rule
+_TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(48)  # each deep-tail panel's rule
+_TAIL_DROP, _TAIL_STEPS = 40.0, 8  # log integrand's fall at a panel end; Newton steps
 
 
 def norm_logpdf(x):
@@ -198,6 +198,8 @@ def _bvn(h, k, r):
     own (h, k, r) only; absolute error about 1e-15.
     """
     h, k, r = (np.asarray(a, dtype=float) for a in (h, k, r))
+    if np.any(np.abs(r) >= 1.0):
+        raise ValueError(f"correlation must lie in (-1, 1), got {r}")
     h, k, r, shape = _rows(h, k, r)
     p = np.empty(h.shape)
     rule = np.searchsorted(_RULE_EDGES, np.abs(r[:, 0]), side="right")
@@ -211,72 +213,70 @@ def _bvn(h, k, r):
                 p[rows] = _bvn_high(h[rows], k[rows], r[rows])
     inf = np.isinf(h) | np.isinf(k)
     if np.any(inf):
-        limit = np.where(np.isposinf(k), special.ndtr(h), 0.0)
-        p = np.where(inf, np.where(np.isposinf(h), special.ndtr(k), limit), p)
+        p = np.where(inf, special.ndtr(np.minimum(h, k)), p)
     return np.clip(p, 0.0, 1.0).reshape(shape)
 
 
 def bvn_cdf(h, k, r):
-    """P(X <= h, Y <= k) for a standard bivariate normal with correlation r.
-
-    h, k and r broadcast against each other; every r lies in (-1, 1).
-    """
-    r = np.asarray(r, dtype=float)
-    if not np.all((-1.0 < r) & (r < 1.0)):
-        raise ValueError(f"correlation must lie in (-1, 1), got {r}")
+    """P(X <= h, Y <= k) for a standard bivariate normal with correlation r;
+    h, k and r broadcast, every r lies in (-1, 1), and a NaN r gives NaN."""
     res = _bvn(h, k, r)
     return float(res) if res.ndim == 0 else res
 
 
-_GL240 = np.polynomial.legendre.leggauss(240)
-
-
+@np.errstate(all="ignore")
 def _log_bvn_tail(h, k, r):
-    """log P(X <= h, Y <= k) via log-space quadrature of the exact
-    conditional representation int_{-inf}^h phi(x) Phi((k - r x)/s) dx.
+    """log P(X <= h, Y <= k) for 1-d arrays: log int_{-inf}^h phi(x) Phi((k - r x) / s) dx,
+    s = sqrt(1 - r^2), over the deeper limit h <= k.  The log integrand g is concave and its
+    slope concave (r > 0) or convex (r <= 0), so Newton's steps from min(h, 0), cut at h, reach
+    g's maximum x^ from one side, and from the nearer point where log phi or log Phi alone falls
+    _TAIL_DROP, each panel end from outside.  No point's value depends on the rest of its batch."""
+    out = special.log_ndtr(np.minimum(h, k))  # the value where a limit is infinite
+    fin = np.isfinite(h) & np.isfinite(k)
+    h, k, r = np.minimum(h, k)[fin, None], np.maximum(h, k)[fin, None], r[fin, None]
+    s = np.sqrt((1.0 - r) * (1.0 + r))
 
-    Keeps full relative precision where the direct rule's absolute error
-    would swamp a tiny probability.  Scalar arguments.
-    """
-    s = math.sqrt(1.0 - r * r)
-
-    def log_integrand(x):
+    def g(x):
         return norm_logpdf(x) + special.log_ndtr((k - r * x) / s)
 
-    coarse = np.linspace(h - 60.0, h, 600)
-    m = log_integrand(coarse)
-    x_hat = coarse[int(np.argmax(m))]
-    lo = x_hat - 12.0
-    hi = min(h, x_hat + 12.0)
-    if hi <= lo:
-        lo = hi - 12.0
-    nodes, weights = _GL240
-    x = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-    g = log_integrand(x)
-    g_max = g.max()
-    total = float(np.sum(weights * np.exp(g - g_max))) * 0.5 * (hi - lo)
-    if total <= 0.0:
-        return -np.inf
-    return g_max + math.log(total)
+    def slopes(x):  # g' and g''
+        z = (k - r * x) / s
+        m = math.sqrt(2.0 / math.pi) / special.erfcx(-z * math.sqrt(0.5))  # phi / Phi, exact
+        return -x - r / s * m, -1.0 - (r / s) ** 2 * np.maximum(m * (z + m), 0.0)
+    x = np.minimum(h, 0.0)
+    for _ in range(_TAIL_STEPS):
+        d1, d2 = slopes(x)
+        x = np.minimum(h, x - d1 / d2)
+    g_hat, gauss = g(x), np.sqrt(x * x + 2.0 * _TAIL_DROP)
+    cliff = (k + s * np.sqrt(np.minimum((k - r * x) / s, 0.0) ** 2 + 2.0 * _TAIL_DROP)) / r
+    lo = np.maximum(-gauss, np.where(r < 0.0, cliff, -np.inf))
+    hi = np.minimum(np.minimum(h, gauss), np.where(r > 0.0, cliff, np.inf))
+    for _ in range(_TAIL_STEPS):
+        lo = np.minimum(x, lo - (g(lo) - g_hat + _TAIL_DROP) / slopes(lo)[0])
+        hi = np.minimum(h, np.maximum(x, hi - (g(hi) - g_hat + _TAIL_DROP) / slopes(hi)[0]))
+    acc, step = np.zeros(x.shape), max(1, _NODE_BLOCK // max(x.size, 1))
+    for q in ((lo - x) / 4.0, (hi - x) / 4.0):  # x = x^ + q u^2, u = 1 + t: nodes crowd near x^
+        for j in range(0, _TAIL_X.size, step):
+            u, w = 1.0 + _TAIL_X[j : j + step], _TAIL_W[j : j + step]
+            t = np.exp(g(x + q * (u * u)) - g_hat) * (2.0 * np.abs(q) * (w * u))
+            for i in range(t.shape[1]):
+                acc += t[:, i : i + 1]
+    # acc is 0 only where |g(x^)| is so large that log p rounds to it
+    out[fin] = (g_hat + np.log(acc, out=np.zeros(acc.shape), where=acc > 0.0))[:, 0]
+    return out
 
 
 def log_bvn_cdf(h, k, r):
-    """log of ``bvn_cdf``; h, k and r broadcast.  Deep joint tails switch to
-    a log-space quadrature of the conditional representation so the
-    result keeps relative accuracy instead of inheriting the direct rule's
-    absolute error floor."""
+    """log of ``bvn_cdf``; h, k and r broadcast, and a NaN r gives NaN.  Points with
+    p <= 1e-10, where the rule's absolute error would swamp p, go to ``_log_bvn_tail``."""
     h, k, r = (np.asarray(a, dtype=float) for a in (h, k, r))
-    p = _bvn(h, k, r)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
+    p = np.atleast_1d(_bvn(h, k, r))
     with np.errstate(divide="ignore"):
         out = np.log(p)
-    tail = np.flatnonzero(p <= 1e-10)
-    if tail.size:
-        h, k, r = (np.broadcast_to(a, p.shape).flat for a in (h, k, r))
-        for idx in tail:
-            out.flat[idx] = _log_bvn_tail(h[idx], k[idx], r[idx])
-    return float(out[0]) if scalar else out
+    tail = p <= 1e-10
+    if np.any(tail):
+        out[tail] = _log_bvn_tail(*(np.broadcast_to(a, p.shape)[tail] for a in (h, k, r)))
+    return out if max(h.ndim, k.ndim, r.ndim) else float(out[0])
 
 
 def _cov_to_corr(cov):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize, special
 from scipy.stats import multivariate_normal
 
 from esnsmc import normals
 from esnsmc.errors import NumericalError, UnsupportedDimensionError
+
+# a RuntimeWarning that escapes a normals function fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def bvn_quad_oracle(h, k, r):
@@ -27,6 +30,55 @@ def bvn_quad_oracle(h, k, r):
 
     ridge = [k / r] if r != 0 and -9 < k / r < h else None
     return integrate.quad(inner, -9, h, points=ridge, epsabs=1e-12, limit=200)[0]
+
+
+def log_bvn_mp_oracle(h, k, r):
+    """Independent oracle for log P(X <= h, Y <= k): mpmath quadrature of
+    phi(x) Phi((k - r x) / s) over x below the deeper limit.  Breakpoints close
+    in geometrically on the integrand's maximum (x^ +- 2^-j, j = -4..13), so
+    that the quadrature finds its peak, about s wide near |r| = 1; a naive
+    x-integration there is off by up to 0.4 in log p."""
+    mp = pytest.importorskip("mpmath")
+    h, k = min(h, k), max(h, k)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    x_hat = optimize.minimize_scalar(
+        lambda x: 0.5 * x * x - special.log_ndtr((k - r * x) / s),
+        bounds=(h - 60.0, h), method="bounded", options={"xatol": 1e-12},
+    ).x
+    cuts = sorted({x_hat + d * 2.0**-j for j in range(-4, 14) for d in (-1.0, 1.0)} | {x_hat})
+    with mp.workdps(30):
+        mh, mk, mr = mp.mpf(h), mp.mpf(k), mp.mpf(r)
+        ms = mp.sqrt((1 - mr) * (1 + mr))
+        p = mp.quad(
+            lambda x: mp.npdf(x) * mp.ncdf((mk - mr * x) / ms),
+            [-mp.inf, *(mp.mpf(c) for c in cuts if c < h), mh],
+        )
+        return float(mp.log(p))
+
+
+# Deep-tail points (p from about 1e-11 down to 1e-290) at each correlation: the
+# diagonal, rays on which the correlation binds (r > 0: the smaller |limit| over
+# the larger lies between r and 1) and rays that Y ~ -X cuts off (r < 0)
+_TAIL_GRID = {
+    0.9: [(-6.4049, -6.4049), (-16.2049, -15.3946), (-26.9115, -24.7586), (-32.9353, -36.3926)],
+    0.925: [(-6.461, -6.461), (-16.2394, -15.6304), (-26.9224, -25.307), (-33.8014, -36.3945)],
+    0.95: [(-6.5207, -6.5207), (-16.2755, -15.8687), (-26.934, -25.8567), (-34.6679, -36.3968)],
+    0.99: [(-6.6384, -6.6384), (-16.3469, -16.2651), (-26.9593, -26.7436), (-36.0572, -36.403)],
+    0.9999: [(-6.7003, -6.7003), (-16.3918, -16.391), (-26.9837, -26.9816), (-36.4126, -36.4161)],
+    -0.9: [(-1.3784, -1.3784), (-5.5048, -1.6514), (-19.7598, 9.8799), (-4.6129, -11.5322)],
+    -0.925: [(-1.1892, -1.1892), (-4.7738, -1.4321), (-17.8688, 8.9344), (-3.9994, -9.9985)],
+    -0.95: [(-0.9659, -0.9659), (-3.9021, -1.1706), (-15.2773, 7.6386), (-3.2689, -8.1723)],
+    -0.99: [(-0.4229, -0.4229), (-1.7447, -0.5234), (-7.4037, 3.7019), (-1.4638, -3.6594)],
+    -0.9999: [(-0.0396, -0.0396), (-0.173, -0.0519), (-0.7543, 0.3771), (-0.1462, -0.3655)],
+}
+# r = 0.9999, where the integrand over x <= h is a peak a few hundredths wide,
+# far from h: a rule over a fixed window around a coarse maximum misses it
+_NARROW_PEAKS = [
+    (-1.0, -25.0, 0.9999),
+    (1.2467, -14.9372, 0.9999),
+    (-14.1698, -25.4402, 0.9999),
+    (-24.0405, -27.9554, 0.9999),
+]
 
 
 class TestUnivariate:
@@ -132,23 +184,41 @@ class TestBvn:
 
     def test_small_probability_at_strong_negative_correlation(self):
         # p = 1.03e-10, just above the log's switch to its tail quadrature
-        mp = pytest.importorskip("mpmath")
         h, k, r = -1.38, 0.60, -0.99
-        with mp.workdps(30):
-            mh, mk, mr = mp.mpf(h), mp.mpf(k), mp.mpf(r)
-            s = mp.sqrt(1 - mr * mr)
-            points = sorted(x for x in (mk / mr, mh - 2, mh - 1, mh - 0.25) if x < mh)
-            ref = mp.quad(
-                lambda x: mp.npdf(x) * mp.ncdf((mk - mr * x) / s), [-mp.inf, *points, mh]
-            )
-            ref = float(ref)
+        ref = math.exp(log_bvn_mp_oracle(h, k, r))
         assert abs(normals.bvn_cdf(h, k, r) - ref) <= 1e-9 * ref
 
+    @pytest.mark.parametrize(
+        "h,k,r", [(h, k, r) for r, hk in _TAIL_GRID.items() for h, k in hk] + _NARROW_PEAKS
+    )
+    def test_deep_tail_against_mpmath(self, h, k, r):
+        ref = log_bvn_mp_oracle(h, k, r)
+        assert math.log(1e-300) < ref < math.log(1e-10)
+        assert normals.log_bvn_cdf(h, k, r) == pytest.approx(ref, abs=1e-8)
+
+    def test_deep_tail_at_near_unit_correlation(self):
+        # X <= -1 cuts off a share of about Phi(-1700) of Y <= -25, so log p is
+        # log Phi(-25) = -316.63941; over x <= -1 the integrand is 0.04 wide
+        assert normals.log_bvn_cdf(-1.0, -25.0, 0.9999) == pytest.approx(
+            float(normals.norm_logcdf(-25.0)), abs=1e-8
+        )
+
     def test_infinite_limits(self):
+        # an infinite limit leaves Phi (log Phi) of the other limit
         assert normals.bvn_cdf(np.inf, 0.3, 0.5) == pytest.approx(
             float(normals.norm_cdf(0.3)), abs=1e-15
         )
+        assert normals.log_bvn_cdf(np.inf, 0.3, 0.5) == pytest.approx(
+            float(normals.norm_logcdf(0.3)), abs=1e-15
+        )
         assert normals.bvn_cdf(-np.inf, 0.3, 0.5) == 0.0
+        for h, k, r in ((-np.inf, 0.0, 0.5), (0.0, -np.inf, 0.5), (-np.inf, -np.inf, -0.5)):
+            assert normals.bvn_cdf(h, k, r) == 0.0
+            assert normals.log_bvn_cdf(h, k, r) == -np.inf
+        # Phi(-40) underflows; its log does not
+        assert normals.bvn_cdf(np.inf, -40.0, 0.3) == 0.0
+        assert normals.log_bvn_cdf(np.inf, -40.0, 0.3) == pytest.approx(-804.6084420137538)
+        assert normals.log_bvn_cdf(-40.0, np.inf, -0.3) == pytest.approx(-804.6084420137538)
 
     def test_log_version_tail_guard(self):
         # probability underflows but the log stays finite and ordered
@@ -157,8 +227,16 @@ class TestBvn:
         assert val < normals.log_bvn_cdf(np.array([-20.0]), np.array([-20.0]), 0.3)[0]
 
     def test_invalid_correlation(self):
-        with pytest.raises(ValueError):
-            normals.bvn_cdf(0.0, 0.0, 1.0)
+        for f in (normals.bvn_cdf, normals.log_bvn_cdf):
+            for r in (1.0, -1.0, 1.5, np.inf, np.array([0.3, 1.0])):
+                with pytest.raises(ValueError):
+                    f(0.0, 0.0, r)
+            # a NaN correlation, such as an ESNSM batch row with overflowing
+            # parameters, gives NaN and no error
+            assert np.isnan(f(0.0, 0.0, np.nan))
+            assert np.isnan(f(np.zeros(3), 0.0, np.array([0.2, np.nan, 0.3]))).tolist() == [
+                False, True, False
+            ]
 
 
 class TestTrivariate:
