@@ -491,6 +491,9 @@ def make_esnsm_target(
     The target evaluates ``loglik`` plus ``log_prior_esnsm`` for the whole
     particle matrix at once: every selection block is a scalar per
     particle, and the design's Gram matrices are computed here, once.
+    Asked for it, the same evaluator also returns the gradient in the
+    unconstrained coordinates, by a backward sweep through the value's
+    intermediates (the CDF's partials from ``normals.log_bvn_partials``).
     """
     if data.y.shape[1] != 1:
         raise DataError("the selection-model target needs a scalar outcome")
@@ -545,7 +548,11 @@ def make_esnsm_target(
         this rounds each row the same wherever it sits in the block."""
         return sum(coef[:, j, None] * x[:, j] for j in range(x.shape[1]))
 
-    def block(vmat):
+    def sums(weights, x):
+        """``weights @ x``, one column at a time as row sums."""
+        return np.stack([(weights * x[:, j]).sum(axis=1) for j in range(x.shape[1])], axis=1)
+
+    def block(vmat, grad):
         theta = to_constrained(vmat)
         b, b2 = theta[:, :k_out], theta[:, k_out:i_s]
         s1, s12 = theta[:, i_s], theta[:, i_s + 1]
@@ -559,7 +566,8 @@ def make_esnsm_target(
         # route's 1 x 1 solve does, so near |rho| = 1, where 1 - s12^2 / s1
         # cancels, both routes agree
         c0 = np.sqrt(c0sq)
-        h = mills_ratio_inv(lam / c0)
+        t0 = lam / c0
+        h = mills_ratio_inv(t0)
         xi1 = -(s1 * a1 + s12 * a2) / c0 * h
         xi2 = -(s12 * a1 + a2) / c0 * h
         sol12 = s12 / s1
@@ -574,30 +582,31 @@ def make_esnsm_target(
         # loglik; the CDF is reached through its module so that wrappers
         # of esnsm.log_bvn_cdf, which expect a scalar r, do not see this call
         k = c2 * lam / c0s
-        r = np.clip(-(c2 * at2) / c0s, -1.0 + 1e-14, 1.0 - 1e-14)
+        r_cen = np.clip(-(c2 * at2) / c0s, -1.0 + 1e-14, 1.0 - 1e-14)
         hc = -products(b2, x2_cen) - xi2[:, None]
-        ll = normals.log_bvn_cdf(hc, k[:, None], r[:, None]).sum(axis=1) - n_cen * log_ndtr(k)
+        cen = normals.log_bvn_cdf(hc, k[:, None], r_cen[:, None])
+        ll = cen.sum(axis=1) - n_cen * log_ndtr(k)
         sd1 = np.sqrt(s1)
         resid = y_obs - products(b, x1_obs) - xi1[:, None]
         m = xi2[:, None] + products(b2, x2_obs) + resid * sol12[:, None]
         lam_i = lam[:, None] + resid * at1[:, None]
         sd2 = np.sqrt(s22_1)
         kvar = np.sqrt(1.0 + a2 * a2 * s22_1)
-        r = np.clip(a2 * sd2 / kvar, -1.0 + 1e-14, 1.0 - 1e-14)
-        num = normals.log_bvn_cdf(m / sd2[:, None], lam_i / kvar[:, None], r[:, None])
-        ll += (
-            -n_obs * (0.5 * _LOG_2PI + np.log(sd1) + log_ndtr(c1 * lam / c0m))
-            - 0.5 * np.sum((resid / sd1[:, None]) ** 2, axis=1)
-            + num.sum(axis=1)
-        )
+        r_obs = np.clip(a2 * sd2 / kvar, -1.0 + 1e-14, 1.0 - 1e-14)
+        h_obs, k_obs = m / sd2[:, None], lam_i / kvar[:, None]
+        num = normals.log_bvn_cdf(h_obs, k_obs, r_obs[:, None])
+        sq = np.sum((resid / sd1[:, None]) ** 2, axis=1)
+        t1 = c1 * lam / c0m
+        ll += -n_obs * (0.5 * _LOG_2PI + np.log(sd1) + log_ndtr(t1)) - 0.5 * sq + num.sum(axis=1)
 
         # log_prior_esnsm without its constant terms
         db = b - mu_b
         d2 = b2 - hyper.mu_beta2
+        qb = quad_form(db, xtx1)
         lp = (
             prior_const
             - 0.5 * k_out * np.log(s1)
-            - 0.5 * quad_form(db, xtx1) / (hyper.c_beta1 * s1)
+            - 0.5 * qb / (hyper.c_beta1 * s1)
             - 0.5 * quad_form(d2, prec2)
             - 0.5 * (hyper.nu + 3.0) * np.log(s1)
             - 0.5 * v0 / s1
@@ -610,14 +619,101 @@ def make_esnsm_target(
         u, aw = vmat[:, i_s], np.abs(vmat[:, i_s + 1])
         log_jac = 3.0 * (math.log(2.0) + u) - 2.0 * (aw + np.log1p(np.exp(-2.0 * aw)))
         # s22_1 = 1 - q: both the likelihood and the sigma12 prior need q < 1
-        return np.where(s22_1 > 0.0, ll + lp + log_jac, -np.inf)
+        value = np.where(s22_1 > 0.0, ll + lp + log_jac, -np.inf)
+        if not grad:
+            return value
+
+        # the gradient, backwards through the same intermediates: g_v is
+        # d(log target)/dv; the clips of r bind only where dr/d(...) ~ 0
+        dh, dk, dr = normals.log_bvn_partials(hc, k[:, None], r_cen[:, None], cen)
+        g_xi2 = -dh.sum(axis=1)
+        g_b2 = -sums(dh, x2_cen)
+        g_k = dk.sum(axis=1) - n_cen * mills_ratio_inv(k)
+        x = c2 * at2  # r_cen = -x / c0s, k = c2 lam / c0s, c0s^2 = 1 + x^2
+        g_x = -(g_k * k * x + dr.sum(axis=1) / c0s) / (c0s * c0s)
+        g_lam = g_k * c2 / c0s
+        g_c2 = g_k * lam / c0s + g_x * at2
+        g_at2 = g_x * c2
+
+        dh, dk, dr = normals.log_bvn_partials(h_obs, k_obs, r_obs[:, None], num)
+        g_m = dh / sd2[:, None]
+        g_lami = dk / kvar[:, None]
+        g_r = dr.sum(axis=1)
+        g_sd2 = g_r * a2 / kvar - (dh * h_obs).sum(axis=1) / sd2
+        g_kvar = -(g_r * r_obs + (dk * k_obs).sum(axis=1)) / kvar
+        g_a2 = g_r * sd2 / kvar
+        g_resid = g_m * sol12[:, None] + g_lami * at1[:, None] - resid / s1[:, None]
+        g_xi1 = -g_resid.sum(axis=1)
+        g_b = -sums(g_resid, x1_obs)
+        g_xi2 += g_m.sum(axis=1)
+        g_b2 += sums(g_m, x2_obs)
+        g_sol12 = (g_m * resid).sum(axis=1)
+        g_at1 = (g_lami * resid).sum(axis=1)
+        g_lam += g_lami.sum(axis=1)
+        g_s1 = (sq - n_obs) / (2.0 * s1)  # through sd1
+        g_t1 = -n_obs * mills_ratio_inv(t1)
+        g_lam += g_t1 * c1 / c0m
+        g_c0m = -g_t1 * t1 / c0m
+        g_c1 = g_t1 * lam / c0m + g_c0m * c1 * at1 * at1 * s1 / c0m
+        g_at1 += g_c0m * c1 * c1 * at1 * s1 / c0m
+        g_s1 += g_c0m * (c1 * at1) ** 2 / (2.0 * c0m)
+        g_v = g_kvar / (2.0 * kvar) - 0.5 * g_c1 * c1**3  # kvar = 1 / c1 = sqrt(v)
+        g_a2 += 2.0 * g_v * a2 * s22_1
+        g_s22 = g_v * a2 * a2 + g_sd2 / (2.0 * sd2)
+        g_e2 = -0.5 * g_c2 * c2**3 * a1 * a1  # c2 = (1 + a1^2 e2)^(-1/2), e2 = s1 - s12^2
+        g_a1 = -g_c2 * c2**3 * a1 * (s1 - s12 * s12) + g_at2 * s12 + g_at1
+        g_a2 += g_at2 + g_at1 * sol12
+        g_s12 = g_at2 * a1
+        g_sol12 += g_at1 * a2
+        # xi = -(s1 a1 + s12 a2, s12 a1 + a2) q with q = mills(lam / c0) / c0
+        q = h / c0
+        g_s1 -= g_xi1 * a1 * q
+        g_s12 -= (g_xi1 * a2 + g_xi2 * a1) * q
+        g_a1 -= (g_xi1 * s1 + g_xi2 * s12) * q
+        g_a2 -= (g_xi1 * s12 + g_xi2) * q
+        g_q = -g_xi1 * (s1 * a1 + s12 * a2) - g_xi2 * (s12 * a1 + a2)
+        g_t0 = -(g_q / c0) * h * (t0 + h)  # mills' = -mills (t + mills)
+        g_lam += g_t0 / c0 - lam / c0sq
+        g_c0 = -(g_q * q + g_t0 * t0) / c0
+
+        # the prior's non-constant terms
+        g_b -= products(db, xtx1) / (hyper.c_beta1 * s1)[:, None]
+        g_b2 -= products(d2, prec2)
+        g_s1 += (0.5 * qb / hyper.c_beta1 + 0.5 * v0
+                 - 0.5 * (k_out + hyper.nu + 3.0) * s1) / (s1 * s1)
+        g_a1 -= a1 / hyper.sigma2_alpha
+        g_a2 -= a2 / hyper.sigma2_alpha
+        g_c0sq = g_c0 / (2.0 * c0) - 0.5 * (1.0 - lam * lam / c0sq) / c0sq
+        g_a1 += 2.0 * g_c0sq * (a1 * s1 + a2 * s12)
+        g_a2 += 2.0 * g_c0sq * (a1 * s12 + a2)
+        g_s1 += g_c0sq * a1 * a1
+        g_s12 += 2.0 * g_c0sq * a1 * a2
+
+        # to (u, w), each of s1 = e^2u, s12 = e^u t, sol12 = t e^-u,
+        # s22_1 = 1 - t^2 and e2 = e^2u (1 - t^2) by its own derivative,
+        # t = tanh w, with sech^2 w kept exact for large |w|; log|J| adds
+        # 3 and -2 t
+        u, w = vmat[:, i_s], vmat[:, i_s + 1]
+        ew = np.exp(-2.0 * np.abs(w))
+        sech2 = 4.0 * ew / (1.0 + ew) ** 2
+        t, eu = np.tanh(w), np.exp(u)
+        e2 = s1 * sech2
+        g_u = 2.0 * s1 * g_s1 + s12 * g_s12 - sol12 * g_sol12 + 2.0 * e2 * g_e2 + 3.0
+        g_w = sech2 * (eu * g_s12 + g_sol12 / eu - 2.0 * t * (g_s22 + s1 * g_e2)) - 2.0 * t
+        cols = [g_b, g_b2, g_u[:, None], g_w[:, None]]
+        if not gaussian_errors:
+            cols += [g_a1[:, None], g_a2[:, None], g_lam[:, None]]
+        return value, np.concatenate(cols, axis=1)
 
     # the bivariate CDF holds some twenty temporaries of the block's
     # particle-by-observation size; blocks of about 2^14 points keep them small
     rows = max(1, 2**14 // data.n)
 
-    def batch(vmat):
-        return np.concatenate([block(vmat[i : i + rows]) for i in range(0, vmat.shape[0], rows)])
+    def evaluate(vmat, grad=False):
+        parts = [block(vmat[i : i + rows], grad) for i in range(0, vmat.shape[0], rows)]
+        if not grad:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     names = (
         [f"beta1_{j}" for j in outcome_terms]
@@ -638,7 +734,8 @@ def make_esnsm_target(
     )
     return TargetModel(
         dim=dim,
-        log_target_batch=batch,
+        log_target_batch=evaluate,
+        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
         to_constrained=to_constrained,
         param_names=names,
         default_start=to_unconstrained(start_theta),

@@ -5,7 +5,11 @@ defines the matching unconstrained coordinates (locations, shapes and
 shift/truncation scalars pass through; scale matrices go through a
 log-Cholesky map), and wires the likelihood and prior into a
 ``TargetModel`` as one vectorised evaluator over whole particle
-matrices, in any dimension.  The Gaussian part of each likelihood works
+matrices, in any dimension; asked for it, the evaluator also returns the
+gradient in the unconstrained coordinates from the same intermediates.
+Scale gradients are carried as a symmetric G with d f = tr(G dSigma) and
+mapped to the log-Cholesky parameters once, by ``_Packing.gradient``.
+The Gaussian part of each likelihood works
 from the data's centred sufficient statistics, so the only
 particle-by-observation work is the skewing term of the ESN models.
 Sums over parameter indices are elementwise products added in index
@@ -23,7 +27,7 @@ from scipy.special import log_ndtr
 
 from . import priors
 from .model_select import log_mv_gamma
-from .normals import quad_form
+from .normals import mills_ratio_inv, quad_form
 from .smc import TargetModel
 
 __all__ = [
@@ -128,6 +132,31 @@ class _Packing:
         logdet = 2.0 * logdiag.sum(axis=1)
         return vmat[:, :d], lmat, prec, logdet, vmat[:, self._s.stop :], chol_log_jacobian(u, d)
 
+    def gradient(self, g_loc, g_scale, lmat, *g_rest):
+        """(N, dim) gradient in the unconstrained layout, log-Jacobian of the
+        scale map included, from the gradients in the location, in the scale
+        matrix (symmetric G, d f = tr(G dSigma), so d f / dL = 2 G L) and in
+        the trailing columns."""
+        d = self.d
+        g_u = (2.0 * np.einsum("njk,nkl->njl", g_scale, lmat))[(slice(None), *_tril(d))]
+        idx = np.arange(d)
+        diag = _diag_positions(d)
+        g_u[:, diag] = g_u[:, diag] * lmat[:, idx, idx] + (d + 1 - idx)
+        return np.concatenate([g_loc, g_u, *g_rest], axis=1)
+
+
+def _matvec(mat, v):
+    return np.einsum("njk,nk->nj", mat, v)
+
+
+def _outer(u, v):
+    return u[:, :, None] * v[:, None, :]
+
+
+def _sandwich(prec, mat):
+    """P M P per particle for one symmetric M."""
+    return np.einsum("njk,nkl->njl", np.einsum("njk,kl->njl", prec, mat), prec)
+
 
 def param_names(d, scale="sigma", shape=None, shift=None):
     """Names of the flat IID layout: the location, the scale's lower
@@ -144,13 +173,23 @@ def param_names(d, scale="sigma", shape=None, shift=None):
     return vector("xi") + scales + (vector(shape) + [shift] if shape else [])
 
 
-def _gauss_logpdf(x, mean, prec, logdet, kappa=1.0):
+# Each term below returns (value, gradient parts), the parts None unless
+# ``grad``: the gradient in its vector arguments and the symmetric
+# gradient in the scale matrix whose precision and log-determinant it takes.
+
+
+def _gauss_logpdf(x, mean, prec, logdet, kappa=1.0, grad=False):
     """log N(x; mean, Sigma / kappa) per particle, given Sigma^{-1} and log|Sigma|."""
     d = x.shape[1]
-    return -0.5 * (d * (_LOG_2PI - math.log(kappa)) + logdet + kappa * quad_form(x - mean, prec))
+    u = x - mean
+    value = -0.5 * (d * (_LOG_2PI - math.log(kappa)) + logdet + kappa * quad_form(u, prec))
+    if not grad:
+        return value, None
+    pu = _matvec(prec, u)
+    return value, (-kappa * pu, 0.5 * (kappa * _outer(pu, pu) - prec))
 
 
-def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v):
+def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v, grad=False):
     """Normal-inverse-Wishart log-density per particle (``priors.niw_logpdf``)."""
     d = xi.shape[1]
     iw = (
@@ -160,7 +199,11 @@ def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v):
         - 0.5 * (nu + d + 1.0) * logdet
         - 0.5 * np.einsum("njk,jk->n", prec, v)
     )
-    return iw + _gauss_logpdf(xi, xi0, prec, logdet, kappa)
+    gauss, parts = _gauss_logpdf(xi, xi0, prec, logdet, kappa, grad)
+    if not grad:
+        return iw + gauss, None
+    g_xi, g_scale = parts
+    return iw + gauss, (g_xi, g_scale + 0.5 * (_sandwich(prec, v) - (nu + d + 1.0) * prec))
 
 
 class _Stats:
@@ -174,23 +217,46 @@ class _Stats:
         self.scatter = centred.T @ centred
 
 
-def _gauss_loglik(st, xi, prec, logdet):
+def _gauss_loglik(st, xi, prec, logdet, grad=False):
     """sum_i log N(z_i; xi, Sigma) per particle, from the centred statistics:
     sum_i (z_i - xi)' P (z_i - xi) = tr(P S) + n (zbar - xi)' P (zbar - xi)."""
-    quad = np.einsum("njk,jk->n", prec, st.scatter) + st.n * quad_form(st.mean - xi, prec)
-    return -0.5 * (st.n * (st.d * _LOG_2PI + logdet) + quad)
+    e = st.mean - xi
+    quad = np.einsum("njk,jk->n", prec, st.scatter) + st.n * quad_form(e, prec)
+    value = -0.5 * (st.n * (st.d * _LOG_2PI + logdet) + quad)
+    if not grad:
+        return value, None
+    pe = _matvec(prec, e)
+    return value, (st.n * pe, 0.5 * (_sandwich(prec, st.scatter) + st.n * (_outer(pe, pe) - prec)))
 
 
-def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq):
+def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad=False):
     """IID ESN log-likelihood per particle under the hidden-truncation form
-    (precision and log-determinant of the scale, shape, shift, c0^2)."""
+    (precision and log-determinant of the scale, shape, shift, c0^2).  Its
+    gradient parts are those in (xi, Sigma, alpha, lam), with c0^2 held
+    fixed, and the one in c0^2."""
     # the one particle-by-observation array, summed column by column
     arg = alpha[:, :1] * st.z[:, 0]
     for j in range(1, st.d):
         arg += alpha[:, j : j + 1] * st.z[:, j]
     arg += (lam - np.einsum("nj,nj->n", alpha, xi))[:, None]
+    mills = mills_ratio_inv(arg) if grad else None  # d log Phi(arg) / d arg
     skew = log_ndtr(arg, out=arg).sum(axis=1)
-    return _gauss_loglik(st, xi, prec, logdet) + skew - st.n * log_ndtr(lam / np.sqrt(c0sq))
+    c0 = np.sqrt(c0sq)
+    gauss, parts = _gauss_loglik(st, xi, prec, logdet, grad)
+    value = gauss + skew - st.n * log_ndtr(lam / c0)
+    if not grad:
+        return value, None
+    g_xi, g_scale = parts
+    total = mills.sum(axis=1)
+    g_alpha = np.stack([(mills * st.z[:, j]).sum(axis=1) for j in range(st.d)], axis=1)
+    m0 = st.n * mills_ratio_inv(lam / c0)
+    return value, (
+        g_xi - alpha * total[:, None],
+        g_scale,
+        g_alpha - xi * total[:, None],
+        total - m0 / c0,
+        0.5 * m0 * lam / (c0 * c0sq),
+    )
 
 
 def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel:
@@ -207,40 +273,67 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
         if not isinstance(hyper, priors.HyperParamsP1):
             raise TypeError("p1 target needs HyperParamsP1")
 
-        def batch(vmat):
+        def evaluate(vmat, grad=False):
             xi, lmat, prec, logdet, rest, log_jac = pack.split(vmat)
             alpha, lam = rest[:, :d], rest[:, d]
             sa = np.einsum("nji,nj->ni", lmat, alpha)  # L' alpha
             c0sq = 1.0 + np.einsum("ni,ni->n", sa, sa)
             da = alpha - hyper.mu_alpha
-            lp = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
+            lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V,
+                                    grad)
             lp -= 0.5 * (d * (_LOG_2PI + math.log(hyper.sigma2_alpha))
                          + np.einsum("nj,nj->n", da, da) / hyper.sigma2_alpha)
             lp -= 0.5 * (_LOG_2PI + np.log(c0sq) + lam * lam / c0sq)
-            return _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq) + lp + log_jac
+            ll, lik = _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad)
+            value = ll + lp + log_jac
+            if not grad:
+                return value
+            g_xi, g_scale, g_alpha, g_lam, g_c0sq = lik
+            # c0^2 = 1 + alpha' Sigma alpha, and its prior term
+            g_c0sq = g_c0sq - 0.5 * (1.0 - lam * lam / c0sq) / c0sq
+            g_alpha = (g_alpha - da / hyper.sigma2_alpha
+                       + 2.0 * g_c0sq[:, None] * _matvec(lmat, sa))
+            g_scale = g_scale + prior[1] + g_c0sq[:, None, None] * _outer(alpha, alpha)
+            return value, pack.gradient(g_xi + prior[0], g_scale, lmat,
+                                        g_alpha, (g_lam - lam / c0sq)[:, None])
 
         names = param_names(d, "sigma", "alpha", "lambda")
     elif parametrization == "p2":
         if not isinstance(hyper, priors.HyperParamsP2):
             raise TypeError("p2 target needs HyperParamsP2")
 
-        def batch(vmat):
+        def evaluate(vmat, grad=False):
             # convolution to hidden-truncation form (esn.p2_to_p1) by
             # Sherman-Morrison: with q = d' Omega^{-1} d, Sigma = Omega + d d'
             # has log|Sigma| = log|Omega| + log(1 + q), shape
             # Omega^{-1} d / sqrt(1 + q), shift c sqrt(1 + q) and c0^2 = 1 + q
-            xi, _, prec, logdet, rest, log_jac = pack.split(vmat)
+            xi, lmat, prec, logdet, rest, log_jac = pack.split(vmat)
             dvec, c = rest[:, :d], rest[:, d]
             pd = np.einsum("njk,nk->nj", prec, dvec)
             q1 = 1.0 + np.einsum("nj,nj->n", dvec, pd)
             sig_prec = prec - np.einsum("nj,nk->njk", pd, pd) / q1[:, None, None]
             root = np.sqrt(q1)
             alpha = pd / root[:, None]
-            ll = _esn_loglik(st, xi, sig_prec, logdet + np.log(q1), alpha, c * root, q1)
-            lp = _niw_logpdf(xi, prec, logdet, hyper.xi0t, hyper.kappat, hyper.nut, hyper.Vt)
-            lp += _gauss_logpdf(dvec, hyper.mu_d, prec, logdet, hyper.kappa_d)
+            ll, lik = _esn_loglik(st, xi, sig_prec, logdet + np.log(q1), alpha, c * root, q1,
+                                  grad)
+            lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0t, hyper.kappat, hyper.nut,
+                                    hyper.Vt, grad)
+            lp_d, prior_d = _gauss_logpdf(dvec, hyper.mu_d, prec, logdet, hyper.kappa_d, grad)
+            lp += lp_d
             lp -= 0.5 * (_LOG_2PI + c * c)
-            return ll + lp + log_jac
+            value = ll + lp + log_jac
+            if not grad:
+                return value
+            # the P1 gradient through the map: d alpha = d(pd) / root - alpha
+            # d root / root, d(pd) = P dd - P dOmega pd, d q = 2 pd'dd - pd'dOmega pd
+            g_xi, g_scale, g_alpha, g_lam, g_q = lik
+            g_pd = _matvec(prec, g_alpha) / root[:, None]
+            g_q = g_q + (g_lam * c - np.einsum("nj,nj->n", g_alpha, alpha) / root) / (2.0 * root)
+            g_d = 2.0 * _matvec(g_scale, dvec) + g_pd + 2.0 * g_q[:, None] * pd + prior_d[0]
+            g_omega = (g_scale + prior[1] + prior_d[1] - g_q[:, None, None] * _outer(pd, pd)
+                       - 0.5 * (_outer(g_pd, pd) + _outer(pd, g_pd)))
+            return value, pack.gradient(g_xi + prior[0], g_omega, lmat,
+                                        g_d, (g_lam * root - c)[:, None])
 
         names = param_names(d, "omega", "d", "c")
     else:
@@ -261,7 +354,8 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
 
     return TargetModel(
         dim=pack.dim,
-        log_target_batch=batch,
+        log_target_batch=evaluate,
+        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
         to_constrained=pack.to_constrained,
         param_names=names,
         default_start=pack.to_unconstrained(start_theta),
@@ -281,16 +375,21 @@ def make_gaussian_target(data, hyper) -> TargetModel:
     d = st.d
     pack = _Packing(d, extra=0)
 
-    def batch(vmat):
-        xi, _, prec, logdet, _, log_jac = pack.split(vmat)
-        lp = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
-        return _gauss_loglik(st, xi, prec, logdet) + lp + log_jac
+    def evaluate(vmat, grad=False):
+        xi, lmat, prec, logdet, _, log_jac = pack.split(vmat)
+        lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V, grad)
+        ll, lik = _gauss_loglik(st, xi, prec, logdet, grad)
+        value = ll + lp + log_jac
+        if not grad:
+            return value
+        return value, pack.gradient(lik[0] + prior[0], lik[1] + prior[1], lmat)
 
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[max(z.var(), 1e-8)]])
     start_theta = np.concatenate([st.mean, np.atleast_2d(var)[_tril(d)]])
     return TargetModel(
         dim=pack.dim,
-        log_target_batch=batch,
+        log_target_batch=evaluate,
+        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
         to_constrained=pack.to_constrained,
         param_names=param_names(d),
         default_start=pack.to_unconstrained(start_theta),

@@ -4,8 +4,9 @@ multivariate normal CDFs.
 The univariate pieces wrap ``scipy.special``, so ``log Phi`` stays finite
 for every finite argument.  The bivariate CDF is Genz's (2004) Drezner-Genz
 rule, broadcast over both limits and the correlation; its log takes all the
-points of a call with p <= 1e-10 to one vectorised log-space quadrature.
-The trivariate CDF integrates the bivariate one with adaptive quadrature;
+points of a call with p <= 1e-10 to one vectorised log-space quadrature,
+and ``log_bvn_partials`` gives its derivatives from its value.  The
+trivariate CDF integrates the bivariate one with adaptive quadrature;
 dimension four uses randomised quasi-Monte Carlo with a reported standard
 error, and no rule goes beyond four.
 """
@@ -75,9 +76,10 @@ def norm_ppf(p):
 
 
 def mills_ratio_inv(x):
-    """phi(x) / Phi(x), computed in log space so it survives deep tails."""
+    """phi(x) / Phi(x) as sqrt(2 / pi) / erfcx(-x / sqrt(2)), which keeps its
+    relative precision however deep the left tail; d log Phi(x) / dx."""
     x = np.asarray(x, dtype=float)
-    return np.exp(norm_logpdf(x) - special.log_ndtr(x))
+    return math.sqrt(2.0 / math.pi) / special.erfcx(x * -math.sqrt(0.5))
 
 
 def quad_form(u, mat):
@@ -241,7 +243,7 @@ def _log_bvn_tail(h, k, r):
 
     def slopes(x):  # g' and g''
         z = (k - r * x) / s
-        m = math.sqrt(2.0 / math.pi) / special.erfcx(-z * math.sqrt(0.5))  # phi / Phi, exact
+        m = mills_ratio_inv(z)
         return -x - r / s * m, -1.0 - (r / s) ** 2 * np.maximum(m * (z + m), 0.0)
     x = np.minimum(h, 0.0)
     for _ in range(_TAIL_STEPS):
@@ -277,6 +279,21 @@ def log_bvn_cdf(h, k, r):
     if np.any(tail):
         out[tail] = _log_bvn_tail(*(np.broadcast_to(a, p.shape)[tail] for a in (h, k, r)))
     return out if max(h.ndim, k.ndim, r.ndim) else float(out[0])
+
+
+def log_bvn_partials(h, k, r, log_p):
+    """d log Phi2 / dh, dk and dr at (h, k, r), given log_p = log Phi2(h, k; r):
+    phi(h) Phi((k - r h) / s) / Phi2, phi(k) Phi((h - r k) / s) / Phi2 and
+    phi2(h, k; r) / Phi2 = phi(k) phi((h - r k) / s) / (s Phi2), s = sqrt(1 - r^2)
+    (Plackett 1954).  Formed in log space, so they hold in the deep tails."""
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    zk = (h - r * k) / s
+    log_k = norm_logpdf(k) - log_p
+    return (
+        np.exp(norm_logpdf(h) + special.log_ndtr((k - r * h) / s) - log_p),
+        np.exp(log_k + special.log_ndtr(zk)),
+        np.exp(log_k + norm_logpdf(zk) - np.log(s)),
+    )
 
 
 def _cov_to_corr(cov):

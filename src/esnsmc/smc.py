@@ -96,13 +96,17 @@ class TargetModel:
     ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
     to the N values of the unnormalised log posterior plus the
     log-determinant of d(constrained)/d(unconstrained); it is the only
-    route by which the target is evaluated.  ``to_constrained`` maps
-    one unconstrained vector, or an (N, dim) matrix of them, to the flat
-    constrained layout.
+    route by which the sampler evaluates the target.
+    ``log_target_grad_batch``, where the target has one, returns the same
+    N values (the same bytes) together with their (N, dim) gradient in the
+    unconstrained coordinates; ``laplace_init`` needs it.
+    ``to_constrained`` maps one unconstrained vector, or an (N, dim) matrix
+    of them, to the flat constrained layout.
     """
 
     dim: int
     log_target_batch: Callable[[np.ndarray], np.ndarray]
+    log_target_grad_batch: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     to_constrained: Callable[[np.ndarray], np.ndarray] = _identity
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
@@ -117,6 +121,18 @@ class TargetModel:
             out = np.array(self.log_target_batch(vmat), dtype=float)
         out[~np.isfinite(out)] = -np.inf
         return out
+
+    def log_target_grad_many(self, vmat) -> tuple[np.ndarray, np.ndarray]:
+        """Values as ``log_target_many`` gives them, and their gradients; a
+        row whose value is not finite has an undefined gradient."""
+        if self.log_target_grad_batch is None:
+            raise InitializationError("target has no gradient")
+        vmat = np.atleast_2d(vmat)
+        with np.errstate(all="ignore"):
+            out, grad = self.log_target_grad_batch(vmat)
+        out = np.array(out, dtype=float)
+        out[~np.isfinite(out)] = -np.inf
+        return out, np.asarray(grad, dtype=float)
 
     def _eta1(self) -> GaussianInit:
         if self.eta1 is None:
@@ -407,23 +423,18 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     )
 
 
-def _fd_hessian(target: TargetModel, x, step=1e-4):
-    """Central-difference Hessian of the log target at x.  The four-point
-    stencil of every pair i <= j goes to the target as one batch of
-    4 d(d+1)/2 rows; a non-finite value raises ``InitializationError``."""
+def _gradient_hessian(target: TargetModel, x, step=1e-5):
+    """Hessian of the log target at x by central differences of its
+    gradient, symmetrised: the 2 dim points x +- h_i e_i go to the target as
+    one batch; a non-finite value or gradient raises ``InitializationError``."""
     d = x.shape[0]
     h = step * np.maximum(1.0, np.abs(x))
-    i, j = np.triu_indices(d)
-    ei = np.eye(d)[i] * h[i, None]
-    ej = np.eye(d)[j] * h[j, None]
-    f = target.log_target_many(
-        np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej])
-    ).reshape(4, -1)
-    if not np.isfinite(f).all():
-        raise InitializationError("log posterior not finite on the Hessian stencil at the mode")
-    hess = np.empty((d, d))
-    hess[i, j] = hess[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h[i] * h[j])
-    return hess
+    steps = np.diag(h)
+    f, g = target.log_target_grad_many(np.concatenate([x + steps, x - steps]))
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise InitializationError("log posterior not finite on the gradient stencil at the mode")
+    hess = (g[:d] - g[d:]) / (2.0 * h[:, None])
+    return 0.5 * (hess + hess.T)
 
 
 def _spd_floor(mat: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -448,12 +459,12 @@ def laplace_init(
     target: TargetModel, start, max_iter: int = 500, inflate: float = 1.0
 ) -> GaussianInit:
     """Gaussian initial distribution from a Laplace approximation:
-    quasi-Newton ascent to the posterior mode (numerical gradients), then
-    the inverse of the negated finite-difference Hessian, eigenvalue-floored
-    against round-off.  Each gradient is one batch of ``dim`` rows and the
-    Hessian one batch; the line search evaluates one row at a time.
-    Raises ``InitializationError`` when the mode cannot be found or the
-    curvature there is not finite and positive definite.
+    BFGS ascent to the posterior mode on the target's analytic gradient,
+    one row per evaluation, then the inverse of the negated Hessian, taken
+    as central differences of the gradient in one batch of 2 dim rows and
+    eigenvalue-floored against round-off.  Raises ``InitializationError``
+    when the target has no gradient, when the mode cannot be found or when
+    the curvature there is not finite and positive definite.
 
     ``inflate`` scales the covariance; values above 1 overdisperse the
     initial distribution, which costs a few extra tempering stages but
@@ -461,38 +472,24 @@ def laplace_init(
     curvature cannot see.
     """
     start = np.asarray(start, dtype=float)
-    if not math.isfinite(target.log_target(start)):
+    if not math.isfinite(target.log_target_grad_many(start[None])[0][0]):
         raise InitializationError("log posterior not finite at the starting point")
 
     def neg(v):
-        val = target.log_target(v)
-        return -val if math.isfinite(val) else 1e30
+        val, grad = target.log_target_grad_many(v[None])
+        if not (math.isfinite(val[0]) and np.isfinite(grad).all()):
+            return 1e30, np.zeros_like(v)
+        return -val[0], -grad[0]
 
-    def neg_many(_fun, points):
-        # scipy's forward-difference points, as ``map(fun, points)`` would
-        # see them, in one batch
-        vals = target.log_target_many(np.array(list(points)))
-        return np.where(np.isfinite(vals), -vals, 1e30)
-
-    res = minimize(
-        neg, start, method="BFGS",
-        options={"maxiter": max_iter, "gtol": 1e-7, "workers": neg_many},
-    )
-    # BFGS on slightly noisy numerical gradients often stops with a
-    # "precision loss" flag at a perfectly good mode: judge by the
-    # gradient scaled to the objective instead of the success flag.
-    tol = 1e-3 * (1.0 + abs(res.fun))
-    if not (res.success or np.max(np.abs(res.jac)) < tol):
-        polish = minimize(
-            neg, res.x, method="Nelder-Mead",
-            options={"maxiter": 400 * target.dim, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if polish.fun <= res.fun:
-            res = polish
-        if not (res.success or neg(res.x) < 1e29):
-            raise InitializationError(f"posterior maximisation failed: {res.message}")
+    res = minimize(neg, start, jac=True, method="BFGS",
+                   options={"maxiter": max_iter, "gtol": 1e-5})
+    # BFGS can stop with a "precision loss" flag at a perfectly good mode
+    # when the gradient is down to its rounding: judge by the gradient
+    # scaled to the objective instead of the success flag.
+    if not (res.success or np.max(np.abs(res.jac)) < 1e-3 * (1.0 + abs(res.fun))):
+        raise InitializationError(f"posterior maximisation failed: {res.message}")
     mode = res.x
-    cov = _cov_from_precision(-_fd_hessian(target, mode))
+    cov = _cov_from_precision(-_gradient_hessian(target, mode))
     try:
         return GaussianInit(mode, inflate * cov)
     except np.linalg.LinAlgError as exc:
@@ -556,7 +553,8 @@ def pilot_mh_init(
 def initial_distribution(target: TargetModel, config: SmcConfig) -> GaussianInit:
     """eta1 for ``run``: the Laplace approximation from the target's default
     start, its covariance scaled by ``config.eta1_inflation``; if that raises
-    an ``EsnError``, a pilot MH chain of ``config.pilot_iterations`` steps."""
+    an ``EsnError`` (a target without a gradient does), a pilot MH chain of
+    ``config.pilot_iterations`` steps."""
     try:
         return laplace_init(target, target.default_start, inflate=config.eta1_inflation)
     except EsnError:

@@ -96,6 +96,15 @@ class TestUnivariate:
         assert normals.mills_ratio_inv(-40.0) == pytest.approx(40.0249, abs=1e-3)
         assert normals.mills_ratio_inv(0.0) == pytest.approx(math.sqrt(2.0 / math.pi))
 
+    @pytest.mark.parametrize("x", [-1e2, -1e4, -1e6, -5e9, 0.0, 5.0])
+    def test_mills_ratio_relative_precision_against_mpmath(self, x):
+        # phi / Phi from its two logs lost relative precision as x -> -inf
+        # (1e-4 at -1e6) and overflowed at -5e9
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expect = float(mp.npdf(x) / mp.ncdf(x))
+        assert float(normals.mills_ratio_inv(x)) == pytest.approx(expect, rel=1e-14)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_quad_form_rows_do_not_depend_on_the_batch(self, d):
         rng = np.random.default_rng(d)
@@ -237,6 +246,19 @@ class TestBvn:
             assert np.isnan(f(np.zeros(3), 0.0, np.array([0.2, np.nan, 0.3]))).tolist() == [
                 False, True, False
             ]
+
+    def test_log_partials_match_central_differences(self):
+        # both rules, both signs of r, and deep-tail points (p down to 1e-159)
+        pts = [(0.3, -0.5, 0.2), (1.0, 2.0, -0.6), (-2.0, 1.5, 0.95), (-1.0, -1.0, -0.97),
+               (-6.4049, -6.4049, 0.9), (-16.2049, -15.3946, 0.9), (-5.5048, -1.6514, -0.9),
+               (-26.9, -24.8, 0.99)]
+        h, k, r = (np.array(a) for a in zip(*pts))
+        grads = np.stack(normals.log_bvn_partials(h, k, r, normals.log_bvn_cdf(h, k, r)))
+        eps = 1e-5
+        for g, step in zip(grads, np.eye(3) * eps):
+            fd = (normals.log_bvn_cdf(h + step[0], k + step[1], r + step[2])
+                  - normals.log_bvn_cdf(h - step[0], k - step[1], r - step[2])) / (2 * eps)
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestTrivariate:

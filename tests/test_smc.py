@@ -16,7 +16,17 @@ def gaussian_target(dim=1, mean=0.0, var=1.0):
         u = vmat - mean_vec
         return -0.5 * np.sum((u @ prec) * u, axis=1)
 
-    return smc.TargetModel(dim=dim, log_target_batch=batch)
+    def grad_batch(vmat):
+        return batch(vmat), -(vmat - mean_vec) @ prec
+
+    return smc.TargetModel(dim=dim, log_target_batch=batch, log_target_grad_batch=grad_batch)
+
+
+def with_gradient(dim, value, gradient):
+    """A target from closed-form value and gradient functions of the particle matrix."""
+    return smc.TargetModel(
+        dim=dim, log_target_batch=value, log_target_grad_batch=lambda v: (value(v), gradient(v))
+    )
 
 
 def make_system(target, log_weights, particles=None, rho=0.0):
@@ -431,7 +441,11 @@ class TestLaplaceInit:
             x = vmat[:, 0]
             return 3.0 * (-np.log1p(np.exp(-x))) + (-np.log1p(np.exp(0.8 * x)))
 
-        target = smc.TargetModel(dim=1, log_target_batch=batch)
+        def grad(vmat):
+            x = vmat[:, :1]
+            return 3.0 / (1.0 + np.exp(x)) - 0.8 / (1.0 + np.exp(-0.8 * x))
+
+        target = with_gradient(1, batch, grad)
         eta = smc.laplace_init(target, np.array([0.3]))
         grid = np.linspace(-10, 10, 400_001)
         vals = 3.0 * (-np.log1p(np.exp(-grid))) - np.log1p(np.exp(0.8 * grid))
@@ -449,24 +463,31 @@ class TestLaplaceInit:
         assert wide.cov[0, 0] == pytest.approx(4.0 * base.cov[0, 0], rel=1e-10)
 
     def test_infinite_start_rejected(self):
-        target = smc.TargetModel(dim=1, log_target_batch=lambda vmat: np.full(len(vmat), -np.inf))
-        with pytest.raises(InitializationError):
+        target = with_gradient(1, lambda vmat: np.full(len(vmat), -np.inf), np.zeros_like)
+        with pytest.raises(InitializationError, match="starting point"):
+            smc.laplace_init(target, np.zeros(1))
+
+    def test_target_without_gradient_rejected(self):
+        # no finite-difference fallback: initial_distribution takes the pilot
+        target = smc.TargetModel(dim=1, log_target_batch=lambda vmat: -0.5 * vmat[:, 0] ** 2)
+        with pytest.raises(InitializationError, match="no gradient"):
             smc.laplace_init(target, np.zeros(1))
 
     def test_non_finite_hessian_stencil_rejected(self):
-        # the ascent stops at the wall, where the stencil steps past it
+        # the mode (0) is reached exactly; the wall lies between it and the
+        # stencil's step of 1e-5
         def batch(vmat):
             x = vmat[:, 0]
-            return np.where(x > 5e-5, -np.inf, -0.5 * (x - 1.0) ** 2)
+            return np.where(x > 5e-6, -np.inf, -0.5 * x * x)
 
-        target = smc.TargetModel(dim=1, log_target_batch=batch)
-        with pytest.raises(InitializationError, match="Hessian stencil"):
+        target = with_gradient(1, batch, lambda vmat: -vmat)
+        with pytest.raises(InitializationError, match="gradient stencil"):
             smc.laplace_init(target, np.array([-1.0]))
 
     def test_saddle_rejected(self):
         # zero gradient at the start, curvature of both signs
-        target = smc.TargetModel(
-            dim=2, log_target_batch=lambda vmat: vmat[:, 1] ** 2 - vmat[:, 0] ** 2
+        target = with_gradient(
+            2, lambda vmat: vmat[:, 1] ** 2 - vmat[:, 0] ** 2, lambda vmat: vmat * [-2.0, 2.0]
         )
         with pytest.raises(InitializationError, match="not positive definite"):
             smc.laplace_init(target, np.zeros(2))
@@ -479,9 +500,10 @@ class TestLaplaceInit:
             rot = np.array([[c, -s], [s, c]])
             for small, big in ((1e-4, 1e12), (1e-4, 1e14), (1e-2, 1e14)):
                 prec = rot @ np.diag([small, big]) @ rot.T
-                target = smc.TargetModel(
-                    dim=2,
-                    log_target_batch=lambda v, p=prec: -0.5 * np.einsum("nj,jk,nk->n", v, p, v),
+                target = with_gradient(
+                    2,
+                    lambda v, p=prec: -0.5 * np.einsum("nj,jk,nk->n", v, p, v),
+                    lambda v, p=prec: -v @ p,
                 )
                 try:
                     smc.laplace_init(target, np.zeros(2))
@@ -490,30 +512,30 @@ class TestLaplaceInit:
 
     @staticmethod
     def _scalar_reference(target, start, inflate):
-        """The initialiser with one-row calls throughout: scipy's BFGS
-        without ``workers``, then the Hessian stencil pair by pair."""
+        """The initialiser with one-row calls throughout: scipy's BFGS on
+        one-row value and gradient calls, then the gradient stencil one
+        point at a time."""
+
+        def value_grad(v):
+            val, grad = target.log_target_grad_batch(v[None])
+            return val[0], grad[0]
 
         def neg(v):
-            val = target.log_target(v)
-            return -val if math.isfinite(val) else 1e30
+            val, grad = value_grad(v)
+            return -val, -grad
 
-        res = minimize(neg, start, method="BFGS", options={"maxiter": 500, "gtol": 1e-7})
+        res = minimize(neg, start, jac=True, method="BFGS",
+                       options={"maxiter": 500, "gtol": 1e-5})
         # the cases below converge without the Nelder-Mead polish
         assert res.success or np.max(np.abs(res.jac)) < 1e-3 * (1.0 + abs(res.fun))
         x, d = res.x, res.x.size
-        h = 1e-4 * np.maximum(1.0, np.abs(x))
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
         hess = np.empty((d, d))
-        f = target.log_target
         for i in range(d):
-            for j in range(i, d):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = h[i]
-                ej[j] = h[j]
-                hess[i, j] = hess[j, i] = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-        return res, inflate * smc._cov_from_precision(-hess)
+            step = np.zeros(d)
+            step[i] = h[i]
+            hess[i] = (value_grad(x + step)[1] - value_grad(x - step)[1]) / (2.0 * h[i])
+        return res, inflate * smc._cov_from_precision(-0.5 * (hess + hess.T))
 
     @staticmethod
     def _target(model):
@@ -545,23 +567,28 @@ class TestLaplaceInit:
     def test_one_batch_per_gradient_and_for_the_hessian(self):
         target = self._target("p1-d1")
         dim = target.dim
-        batch = target.log_target_batch
-        rows = []
+        batch, grad_batch = target.log_target_batch, target.log_target_grad_batch
+        rows, grad_rows = [], []
 
         def counted(vmat):
             rows.append(vmat.shape[0])
             return batch(vmat)
 
+        def grad_counted(vmat):
+            grad_rows.append(vmat.shape[0])
+            return grad_batch(vmat)
+
         target.log_target_batch = counted
+        target.log_target_grad_batch = grad_counted
         smc.laplace_init(target, target.default_start)
-        target.log_target_batch = batch
+        target.log_target_batch, target.log_target_grad_batch = batch, grad_batch
         res, _ = self._scalar_reference(target, target.default_start, 1.0)
-        # one-row function values, one dim-row batch per gradient, and the
-        # four-point stencil of every pair i <= j as the last batch
-        assert rows[-1] == 4 * dim * (dim + 1) // 2
-        assert set(rows[:-1]) == {1, dim}
-        assert rows.count(dim) == res.njev
-        assert rows.count(1) == res.nfev - dim * res.njev + 1
+        # one-row value and gradient calls for the start check and for BFGS,
+        # and the 2 dim points of the gradient stencil as the last batch
+        assert rows == []
+        assert grad_rows[-1] == 2 * dim
+        assert grad_rows[:-1] == [1] * (res.nfev + 1)
+        assert res.nfev == res.njev
 
 
 class TestPilotInit:
@@ -789,20 +816,25 @@ class TestBatchConsistency:
 
     @staticmethod
     def _assert_row_invariant(target, vmat, rng):
-        # a particle's value must not depend on where it sits in the batch:
-        # the whole batch, the batch permuted, the batch cut into chunks of a
-        # size other than the target's internal block, and one-row calls all
-        # give the same bytes
-        whole = target.log_target_batch(vmat)
+        # a particle's value and gradient must not depend on where it sits
+        # in the batch: the whole batch, the batch permuted, the batch cut
+        # into chunks of a size other than the target's internal block, and
+        # one-row calls all give the same bytes; the value that comes with a
+        # gradient is the value without one
         perm = rng.permutation(vmat.shape[0])
-        permuted = np.empty_like(whole)
-        permuted[perm] = target.log_target_batch(vmat[perm])
         chunks = [vmat[i : i + 7] for i in range(0, vmat.shape[0], 7)]
-        chunked = np.concatenate([target.log_target_batch(c) for c in chunks])
-        single = np.array([target.log_target_batch(v[None])[0] for v in vmat])
-        assert np.isfinite(whole).all()
-        for other in (permuted, chunked, single):
-            assert whole.tobytes() == other.tobytes()
+        for evaluate in (target.log_target_batch, lambda v: target.log_target_grad_batch(v)[1]):
+            whole = evaluate(vmat)
+            permuted = np.empty_like(whole)
+            permuted[perm] = evaluate(vmat[perm])
+            chunked = np.concatenate([evaluate(c) for c in chunks])
+            single = np.concatenate([evaluate(v[None]) for v in vmat])
+            assert np.isfinite(whole).all()
+            for other in (permuted, chunked, single):
+                assert whole.tobytes() == other.tobytes()
+        values = target.log_target_many(vmat)
+        assert values.tobytes() == target.log_target_grad_many(vmat)[0].tobytes()
+        assert values.tobytes() == target.log_target_batch(vmat).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
@@ -830,6 +862,48 @@ class TestBatchConsistency:
         # were once summed in another order for a lone row, which shows in
         # the total only when few observations leave the prior some weight
         self._esnsm_row_invariance(gaussian_errors, [0, 1], [0, 2], 40, 2000)
+
+    @staticmethod
+    def _central_differences(target, v, step):
+        """Central differences of ``log_target_many`` at v, the 2 dim points in one call."""
+        h = step * np.maximum(1.0, np.abs(v))
+        f = target.log_target_many(np.concatenate([v + np.diag(h), v - np.diag(h)]))
+        return (f[: v.size] - f[v.size :]) / (2.0 * h)
+
+    def _assert_gradient_matches_differences(self, target, vmat):
+        """The analytic gradient of every row against central differences:
+        |g - fd| <= 1e-6 (|g| + 1) per entry."""
+        values, grads = target.log_target_grad_batch(vmat)
+        assert values.tobytes() == target.log_target_many(vmat).tobytes()
+        assert np.isfinite(grads).all()
+        for v, g in zip(vmat, grads):
+            fd = self._central_differences(target, v, 1e-5)
+            assert np.all(np.abs(g - fd) <= 1e-6 * (np.abs(g) + 1.0)), np.column_stack([g, fd])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
+    def test_iid_gradient_matches_central_differences(self, model, d):
+        # the ESN cases' first rows put the shift deep in both tails
+        target, _, vmat = self._iid_case(model, d)
+        self._assert_gradient_matches_differences(target, vmat)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_gradient_matches_central_differences(self, gaussian_errors):
+        target, _, vmat = self._esnsm_case(gaussian_errors)
+        # rows 4-7 hold lambda = +-40, +-25 (shape and shift free)
+        self._assert_gradient_matches_differences(target, vmat[4:])
+        # rows 0-3: tanh(w) within 1e-12 and 1e-9 of +-1.  The value there is
+        # of order -1e11 to -1e13 and takes 1 - s12^2 / s1 as the scalar route
+        # does, with a relative rounding error up to about 1e-4, so the
+        # differences need a wide step and the entries are compared with the
+        # largest one
+        grads = target.log_target_grad_batch(vmat[:4])[1]
+        assert np.isfinite(grads).all()
+        for v, g in zip(vmat[:4], grads):
+            fd = self._central_differences(target, v, 1e-2)
+            assert np.max(np.abs(g - fd)) <= 5e-2 * np.max(np.abs(g)), np.column_stack([g, fd])
 
     def _esnsm_row_invariance(self, gaussian_errors, outcome_terms, select_terms, n, rows):
         rng = np.random.default_rng(33)
