@@ -705,8 +705,9 @@ def make_esnsm_target(
             cols += [g_a1[:, None], g_a2[:, None], g_lam[:, None]]
         return value, np.concatenate(cols, axis=1)
 
-    # the bivariate CDF holds some twenty temporaries of the block's
-    # particle-by-observation size; blocks of about 2^14 points keep them small
+    # the bivariate CDF's largest temporaries are (rows, 20, observations)
+    # arrays of node terms (three in the |r| >= 0.925 expansion): 2.6 MB
+    # each at blocks of about 2^14 points, so one fits a 4 MiB L2 cache
     rows = max(1, 2**14 // data.n)
 
     def evaluate(vmat, grad=False):

@@ -52,8 +52,8 @@ _GL = tuple(
     for x, w in _GL_HALF
 )
 _RULE_EDGES = np.array([0.3, 0.75, 0.925])  # |r| where rules 1 and 2 and the expansion begin
-_NODE_BLOCK = 2**14  # node-by-point terms per pass of a node rule
 _TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(48)  # each deep-tail panel's rule
+_TAIL_BLOCK = 2**14  # node-by-point terms per pass of the deep-tail rule
 _TAIL_DROP, _TAIL_STEPS = 40.0, 8  # log integrand's fall at a panel end; Newton steps
 
 
@@ -97,9 +97,10 @@ def quad_form(u, mat):
 
 def _rows(h, k, r):
     """h, k and r as (R, P) arrays with one correlation per row: r's own
-    axes lead and are kept, the rest of the broadcast shape becomes P.  When
-    r varies along a trailing axis, every point is its own row."""
-    shape = np.broadcast_shapes(h.shape, k.shape, r.shape)
+    axes lead and are kept, the rest of the broadcast shape becomes P.  A
+    limit that is constant along a row stays (R, 1).  When r varies along a
+    trailing axis, every point is its own row."""
+    shape = np.broadcast(h, k, r).shape
     r_shape = (1,) * (len(shape) - r.ndim) + r.shape
     lead = len(shape)
     while lead and r_shape[lead - 1] == 1:
@@ -108,85 +109,133 @@ def _rows(h, k, r):
         lead = len(shape)
         r = np.broadcast_to(r, shape)
     n_rows, n_cols = math.prod(shape[:lead]), math.prod(shape[lead:])
-    h, k = (
-        (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(n_rows, n_cols)
-        for a in (h, k)
-    )
-    return h, k, np.ascontiguousarray(r.reshape(n_rows, 1)), shape
+
+    def as_rows(a):
+        a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+        full = any(n > 1 for n in a.shape[lead:])
+        to = shape if full else shape[:lead] + a.shape[lead:]
+        return (a if a.shape == to else np.broadcast_to(a, to)).reshape(
+            n_rows, n_cols if full else 1
+        )
+
+    return as_rows(h), as_rows(k), np.ascontiguousarray(r.reshape(n_rows, 1)), shape
+
+
+def _node_sum(t):
+    """The sum over the node axis of (R, J, P) terms, each point's terms
+    added in node order.  np.add.reduce does that for P > 1; a one-point
+    row's nodes lie contiguous, and it would add them pairwise."""
+    if t.shape[2] > 1:
+        return np.add.reduce(t, axis=1)
+    acc = t[:, 0].copy()
+    for j in range(1, t.shape[1]):
+        acc += t[:, j]
+    return acc
 
 
 def _bvn_low(h, k, r, g):
-    """Phi2 for |r| < 0.925 on (R, P) blocks with (R, 1) correlations: Genz's
-    Gauss-Legendre rule g over Plackett's integral in asin(r),
-    Phi2 = Phi(h) Phi(k) + 1/(2 pi) int_0^asin(r) exp(-(h^2 + k^2 - 2 h k sin t)
-    / (2 cos^2 t)) dt.  The nodes' sin and 1/cos^2 depend on r alone and are
-    computed once per row.  Nodes are taken a few at a time, so that small
-    calls make few passes and large ones stay in cache; either way each
-    point adds its node terms in the same order."""
+    """Phi2 for |r| < 0.925 on (R, P) or (R, 1) limits with (R, 1)
+    correlations: Genz's Gauss-Legendre rule g over Plackett's integral in
+    asin(r), Phi2 = Phi(h) Phi(k) + 1/(2 pi) int_0^asin(r) exp(-(h^2 + k^2
+    - 2 h k sin t) / (2 cos^2 t)) dt.  A row's J node exponents, with the
+    log weights, are one (J, 3) @ (3, P) product of per-row coefficients
+    (sin / cos^2, -1 / (2 cos^2), log w) and per-point features (h k,
+    h^2 + k^2, 1)."""
     x, w = _GL[g]
     asr = np.arcsin(r) * 0.5
     sn = np.sin(asr * x)
     inv = 1.0 / (1.0 - sn * sn)
-    hk = (h * k)[:, None]
-    hs = ((h * h + k * k) * 0.5)[:, None]
-    step = min(x.size, max(1, _NODE_BLOCK // max(h.size, 1)))
-    acc = np.zeros(h.shape)
-    for j0 in range(0, x.size, step):
-        nodes = slice(j0, j0 + step)
-        t = hk * sn[:, nodes, None]
-        t -= hs
-        t *= inv[:, nodes, None]
-        np.exp(t, out=t)
-        t *= w[nodes, None]
-        for j in range(t.shape[1]):
-            acc += t[:, j]
+    coef = np.empty(sn.shape + (3,))
+    coef[..., 0] = sn * inv
+    coef[..., 1] = inv * -0.5
+    coef[..., 2] = np.log(w)
+    feat = np.empty((h.shape[0], 3, max(h.shape[1], k.shape[1])))
+    np.multiply(h, k, out=feat[:, 0])
+    np.multiply(h, h, out=feat[:, 1])
+    feat[:, 1] += k * k
+    feat[:, 2] = 1.0
+    t = np.matmul(coef, feat)
+    np.exp(t, out=t)
+    acc = _node_sum(t)
     acc *= asr / (2.0 * math.pi)
     acc += special.ndtr(h) * special.ndtr(k)
     return acc
 
 
-def _bvn_high(h, k, r):
-    """Phi2 for |r| >= 0.925 on (R, P) blocks with (R, 1) correlations:
-    Genz's expansion around the singular limit |r| = 1 plus the 20-node rule
-    for its remainder, in his upper-orthant form P(X > -h, Y > -k)."""
+def _bvn_high(h, k, r, upper):
+    """Phi2 for |r| >= 0.925 on (R, P) or (R, 1) limits with (R, 1)
+    correlations, all of sign ``upper`` (r > 0): Genz's expansion around the
+    singular limit |r| = 1 plus the 20-node rule for its remainder, in his
+    upper-orthant form P(X > -h, Y > -k).  The node constants depend on r
+    alone; a row's two node exponents and its polynomial factor are
+    products of per-row coefficients and the per-point features (bs, hk, 1,
+    c, c d)."""
     x, w = _GL[2]
     h = -h
-    k = np.where(r < 0.0, k, -k)
-    hk = h * k
+    k = -k if upper else k
     as_ = (1.0 - r) * (1.0 + r)
     a = np.sqrt(as_)
-    bs = (h - k) ** 2
-    c = (4.0 - hk) / 8.0
+    feat = np.empty((h.shape[0], 5, max(h.shape[1], k.shape[1])))
+    bs, hk, c, cd = feat[:, 0], feat[:, 1], feat[:, 3], feat[:, 4]
+    np.subtract(h, k, out=bs)
+    bs *= bs
+    np.multiply(h, k, out=hk)
+    feat[:, 2] = 1.0
+    np.subtract(4.0, hk, out=c)
+    c /= 8.0
     d = (12.0 - hk) / 80.0
+    np.multiply(c, d, out=cd)
+    # asr <= 0; only asr > -100 counts, and the floor keeps exp off its slow
+    # underflow
     asr = -(bs / as_ + hk) / 2.0
-    bvn = np.where(
-        asr > -100.0,
-        a * np.exp(asr) * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_),
-        0.0,
+    bvn = a * np.exp(np.maximum(asr, -300.0)) * (
+        1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + cd * as_ * as_
     )
+    bvn *= asr > -100.0
     b = np.sqrt(bs)
     sp = math.sqrt(2.0 * math.pi) * special.ndtr(-b / a)
     bvn -= np.where(
         hk > -100.0, np.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0
     )
     a = a / 2.0
-    quad = np.zeros(h.shape)
-    for j in range(x.size):
-        xs = (a * x[j]) ** 2
-        rs = np.sqrt(1.0 - xs)
-        asr = -(bs / xs + hk) / 2.0
-        sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
-        ep = np.exp(-(hk / 2.0) * xs / (1.0 + rs) ** 2) / rs
-        quad += w[j] * np.where(asr > -100.0, np.exp(asr) * (sp - ep), 0.0)
-    bvn = (a * quad - bvn) / (2.0 * math.pi)
-    # r > 0; r < 0 with h >= k; r < 0 with h < k, the difference of Phi
-    # taken on the side where it does not cancel
-    low = np.where(
-        h < 0.0, special.ndtr(k) - special.ndtr(h), special.ndtr(-h) - special.ndtr(-k)
-    )
-    return np.where(
-        r > 0.0, bvn + special.ndtr(-np.maximum(h, k)), np.where(h >= k, -bvn, low - bvn)
-    )
+    # node j's term is exp(asr) (w (1 + c xs + 5 c d xs^2) - w exp(-hk xs /
+    # (2 (1 + rs)^2)) / rs), asr = -(bs / xs + hk) / 2, where asr > -100:
+    # asr and the log of the second part from (bs, hk, 1), the first part
+    # from (1, c, c d)
+    xs = (a * x) ** 2
+    rs = np.sqrt(1.0 - xs)
+    coef = np.zeros((3,) + xs.shape + (3,))
+    coef[0, ..., 0] = -0.5 / xs
+    coef[0, ..., 1] = -0.5
+    coef[1, ..., 1] = -0.5 * xs / (1.0 + rs) ** 2
+    coef[1, ..., 2] = np.log(w) - np.log(rs)
+    coef[2, ..., 0] = w
+    coef[2, ..., 1] = w * xs
+    coef[2, ..., 2] = 5.0 * w * xs * xs
+    # a kept term's asr lies above -100; the floor keeps exp off its slow
+    # subnormal results and every term finite
+    term = np.matmul(coef[0], feat[:, :3])
+    keep = term > -100.0
+    np.maximum(term, -300.0, out=term)
+    np.exp(term, out=term)
+    ep = np.matmul(coef[1], feat[:, :3])
+    np.exp(ep, out=ep)
+    sp = np.matmul(coef[2], feat[:, 2:])
+    sp -= ep
+    term *= sp
+    term *= keep
+    bvn = (a * _node_sum(term) - bvn) / (2.0 * math.pi)
+    if upper:
+        return bvn + special.ndtr(-np.maximum(h, k))
+    # r < 0: the difference of Phi, where h < k, taken on the side where it
+    # does not cancel: Phi(k) - Phi(h) for h < 0, Phi(-h) - Phi(-k) otherwise
+    s = np.where(h < 0.0, 1.0, -1.0)
+    low = special.ndtr(s * k)
+    low -= special.ndtr(s * h)
+    low *= s
+    low *= h < k
+    low -= bvn
+    return low
 
 
 def _bvn(h, k, r):
@@ -196,15 +245,19 @@ def _bvn(h, k, r):
     Genz's (2004) version of the Drezner-Wesolowsky rule: for |r| < 0.925
     a 6-, 12- or 20-node Gauss-Legendre rule (|r| < 0.3, < 0.75, otherwise)
     over Plackett's integral, for |r| >= 0.925 an expansion around |r| = 1.
-    The rule is chosen per correlation, so a point's value depends on its
-    own (h, k, r) only; absolute error about 1e-15.
+    The rule is chosen per correlation and a row's values depend on that
+    row alone: a point alone and the same point in a longer row may differ
+    by one rounding (the node products are BLAS products over the row).
+    Absolute error about 1e-15.
     """
     h, k, r = (np.asarray(a, dtype=float) for a in (h, k, r))
     if np.any(np.abs(r) >= 1.0):
         raise ValueError(f"correlation must lie in (-1, 1), got {r}")
     h, k, r, shape = _rows(h, k, r)
-    p = np.empty(h.shape)
+    p = np.empty((h.shape[0], max(h.shape[1], k.shape[1])))
+    # rules 0-2 are the node rules, 3 and 4 the expansion for r > 0 and r < 0
     rule = np.searchsorted(_RULE_EDGES, np.abs(r[:, 0]), side="right")
+    rule[(rule == 3) & ~(r[:, 0] > 0.0)] = 4
     with np.errstate(all="ignore"):
         rules = np.unique(rule)
         for g in rules:
@@ -212,11 +265,11 @@ def _bvn(h, k, r):
             if g < 3:
                 p[rows] = _bvn_low(h[rows], k[rows], r[rows], g)
             else:
-                p[rows] = _bvn_high(h[rows], k[rows], r[rows])
-    inf = np.isinf(h) | np.isinf(k)
-    if np.any(inf):
-        p = np.where(inf, special.ndtr(np.minimum(h, k)), p)
-    return np.clip(p, 0.0, 1.0).reshape(shape)
+                p[rows] = _bvn_high(h[rows], k[rows], r[rows], g == 3)
+    if not (np.isfinite(h).all() and np.isfinite(k).all()):
+        p = np.where(np.isinf(h) | np.isinf(k), special.ndtr(np.minimum(h, k)), p)
+    np.maximum(p, 0.0, out=p)
+    return np.minimum(p, 1.0, out=p).reshape(shape)
 
 
 def bvn_cdf(h, k, r):
@@ -256,7 +309,7 @@ def _log_bvn_tail(h, k, r):
     for _ in range(_TAIL_STEPS):
         lo = np.minimum(x, lo - (g(lo) - g_hat + _TAIL_DROP) / slopes(lo)[0])
         hi = np.minimum(h, np.maximum(x, hi - (g(hi) - g_hat + _TAIL_DROP) / slopes(hi)[0]))
-    acc, step = np.zeros(x.shape), max(1, _NODE_BLOCK // max(x.size, 1))
+    acc, step = np.zeros(x.shape), max(1, _TAIL_BLOCK // max(x.size, 1))
     for q in ((lo - x) / 4.0, (hi - x) / 4.0):  # x = x^ + q u^2, u = 1 + t: nodes crowd near x^
         for j in range(0, _TAIL_X.size, step):
             u, w = 1.0 + _TAIL_X[j : j + step], _TAIL_W[j : j + step]
@@ -273,9 +326,9 @@ def log_bvn_cdf(h, k, r):
     p <= 1e-10, where the rule's absolute error would swamp p, go to ``_log_bvn_tail``."""
     h, k, r = (np.asarray(a, dtype=float) for a in (h, k, r))
     p = np.atleast_1d(_bvn(h, k, r))
-    with np.errstate(divide="ignore"):
-        out = np.log(p)
     tail = p <= 1e-10
+    with np.errstate(divide="ignore"):
+        out = np.log(p, out=p)
     if np.any(tail):
         out[tail] = _log_bvn_tail(*(np.broadcast_to(a, p.shape)[tail] for a in (h, k, r)))
     return out if max(h.ndim, k.ndim, r.ndim) else float(out[0])

@@ -56,6 +56,78 @@ def log_bvn_mp_oracle(h, k, r):
         return float(mp.log(p))
 
 
+def _bvn_low_loop(h, k, r, g):
+    """Reference: Genz's Gauss-Legendre rule g, one node at a time."""
+    x, w = normals._GL[g]
+    asr = np.arcsin(r) * 0.5
+    sn = np.sin(asr * x)
+    inv = 1.0 / (1.0 - sn * sn)
+    hk, hs = h * k, (h * h + k * k) * 0.5
+    acc = np.zeros(hk.shape)
+    for j in range(x.size):
+        acc += w[j] * np.exp((hk * sn[:, j : j + 1] - hs) * inv[:, j : j + 1])
+    return acc * (asr / (2.0 * math.pi)) + special.ndtr(h) * special.ndtr(k)
+
+
+def _bvn_high_loop(h, k, r):
+    """Reference: Genz's |r| >= 0.925 expansion, its remainder one node at a time."""
+    x, w = normals._GL[2]
+    h = -h
+    k = np.where(r < 0.0, k, -k)
+    hk = h * k
+    as_ = (1.0 - r) * (1.0 + r)
+    a = np.sqrt(as_)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 80.0
+    asr = -(bs / as_ + hk) / 2.0
+    bvn = np.where(
+        asr > -100.0,
+        a * np.exp(asr) * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_),
+        0.0,
+    )
+    b = np.sqrt(bs)
+    sp = math.sqrt(2.0 * math.pi) * special.ndtr(-b / a)
+    bvn -= np.where(
+        hk > -100.0, np.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0
+    )
+    a = a / 2.0
+    quad = np.zeros(h.shape)
+    for j in range(x.size):
+        xs = (a * x[j]) ** 2
+        rs = np.sqrt(1.0 - xs)
+        asr = -(bs / xs + hk) / 2.0
+        sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+        ep = np.exp(-(hk / 2.0) * xs / (1.0 + rs) ** 2) / rs
+        quad += w[j] * np.where(asr > -100.0, np.exp(asr) * (sp - ep), 0.0)
+    bvn = (a * quad - bvn) / (2.0 * math.pi)
+    low = np.where(
+        h < 0.0, special.ndtr(k) - special.ndtr(h), special.ndtr(-h) - special.ndtr(-k)
+    )
+    return np.where(
+        r > 0.0, bvn + special.ndtr(-np.maximum(h, k)), np.where(h >= k, -bvn, low - bvn)
+    )
+
+
+def bvn_loop_oracle(h, k, r):
+    """Phi2 on (R, P) limits with (R, 1) correlations by the per-node loops,
+    each row under the rule its |r| picks."""
+    rule = np.searchsorted([0.3, 0.75, 0.925], np.abs(r[:, 0]), side="right")
+    out = np.empty(h.shape)
+    with np.errstate(all="ignore"):
+        for i, g in enumerate(rule):
+            rows = slice(i, i + 1)
+            if g < 3:
+                out[rows] = _bvn_low_loop(h[rows], k[rows], r[rows], g)
+            else:
+                out[rows] = _bvn_high_loop(h[rows], k[rows], r[rows])
+    return np.clip(out, 0.0, 1.0)
+
+
+# rows under each rule and both signs of r, rules 0-2 and the expansion
+_RULE_R = [(0.05, 0.29), (0.31, 0.74), (0.76, 0.92), (0.93, 0.9999)]
+
+
 # Deep-tail points (p from about 1e-11 down to 1e-290) at each correlation: the
 # diagonal, rays on which the correlation binds (r > 0: the smaller |limit| over
 # the larger lies between r and 1) and rays that Y ~ -X cuts off (r < 0)
@@ -190,6 +262,47 @@ class TestBvn:
         r = np.array([0.1, -0.2, 0.5, -0.6, 0.8, -0.9, 0.95, -0.99])[:, None]
         for f in (normals.log_bvn_cdf, normals.bvn_cdf):
             assert np.array_equal(f(h, k, r), [f(h[i], k[i], r[i, 0]) for i in range(8)])
+
+    def test_matches_per_node_reference_loops(self):
+        # every rule, both signs of r, r within 1e-12 of each rule edge, and
+        # |h|, |k| up to 8, also along h = k and h = -k where the expansion's
+        # terms peak, hold to the rule's 1e-15
+        rng = np.random.default_rng(14)
+        edges = [e + d for e in (0.3, 0.75, 0.925) for d in (-1e-12, 1e-12)]
+        r = np.concatenate([
+            edges, [rng.uniform(lo, hi) for lo, hi in _RULE_R for _ in range(4)], [0.0]
+        ])
+        r = np.concatenate([r, -r])[:, None]
+        h = rng.uniform(-8.0, 8.0, size=(r.size, 300))
+        for k in (rng.uniform(-8.0, 8.0, size=h.shape), h + rng.normal(scale=0.1, size=h.shape),
+                  -h + rng.normal(scale=0.1, size=h.shape), rng.normal(size=h.shape)):
+            diff = np.abs(normals.bvn_cdf(h, k, r) - bvn_loop_oracle(h, k, r))
+            assert diff.max() <= 1e-15
+
+    @pytest.mark.parametrize("n_cols", [300, 700])
+    def test_rows_keep_their_bytes_at_the_target_shapes(self, n_cols):
+        # rows of one rule or of all rules together give the same bytes in
+        # calls of 200, 16 and 1 rows, and a k constant along the row gives
+        # the same bytes as (R, 1) as broadcast to (R, P)
+        rng = np.random.default_rng(n_cols)
+        sign = np.where(np.arange(200) % 2, 1.0, -1.0)
+        blocks = [rng.uniform(lo, hi, size=200) * sign for lo, hi in _RULE_R]
+        blocks.append(np.concatenate(blocks)[rng.permutation(800)[:200]])
+        h = rng.normal(scale=2.0, size=(200, n_cols))
+        k = rng.normal(scale=2.0, size=(200, n_cols))
+        k_row = rng.normal(scale=2.0, size=(200, 1))
+        for r in blocks:
+            r = r[:, None]
+            for f in (normals.bvn_cdf, normals.log_bvn_cdf):
+                whole = f(h, k, r)
+                by_16 = np.concatenate([f(h[i : i + 16], k[i : i + 16], r[i : i + 16])
+                                        for i in range(0, 200, 16)])
+                assert whole.tobytes() == by_16.tobytes()
+                for i in range(0, 200, 9):
+                    assert whole[i].tobytes() == f(h[i : i + 1], k[i : i + 1], r[i : i + 1]).tobytes()
+                row_const = f(h, k_row, r)
+                assert row_const.tobytes() == f(h, np.broadcast_to(k_row, h.shape), r).tobytes()
+                assert row_const.tobytes() == f(h, np.repeat(k_row, n_cols, axis=1), r).tobytes()
 
     def test_small_probability_at_strong_negative_correlation(self):
         # p = 1.03e-10, just above the log's switch to its tail quadrature
