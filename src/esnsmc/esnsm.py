@@ -705,9 +705,11 @@ def make_esnsm_target(
             cols += [g_a1[:, None], g_a2[:, None], g_lam[:, None]]
         return value, np.concatenate(cols, axis=1)
 
-    # the bivariate CDF's largest temporaries are (rows, 20, observations)
-    # arrays of node terms (three in the |r| >= 0.925 expansion): 2.6 MB
-    # each at blocks of about 2^14 points, so one fits a 4 MiB L2 cache
+    # the bivariate CDF's largest working set is two (rows, 20, columns)
+    # arrays of node terms in the |r| >= 0.925 expansion, about 5.2 MB at
+    # blocks of about 2^14 points, more than a 2 MiB per-core L2 holds.  The
+    # size is measured, not derived: on a 2-vCPU x86 machine, blocks of 2^12
+    # and 2^13 points took 1.1-1.6 times as long per batch, 2^15 no less
     rows = max(1, 2**14 // data.n)
 
     def evaluate(vmat, grad=False):

@@ -112,25 +112,13 @@ def _rows(h, k, r):
 
     def as_rows(a):
         a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
-        full = any(n > 1 for n in a.shape[lead:])
+        full = any(n != 1 for n in a.shape[lead:])
         to = shape if full else shape[:lead] + a.shape[lead:]
         return (a if a.shape == to else np.broadcast_to(a, to)).reshape(
             n_rows, n_cols if full else 1
         )
 
     return as_rows(h), as_rows(k), np.ascontiguousarray(r.reshape(n_rows, 1)), shape
-
-
-def _node_sum(t):
-    """The sum over the node axis of (R, J, P) terms, each point's terms
-    added in node order.  np.add.reduce does that for P > 1; a one-point
-    row's nodes lie contiguous, and it would add them pairwise."""
-    if t.shape[2] > 1:
-        return np.add.reduce(t, axis=1)
-    acc = t[:, 0].copy()
-    for j in range(1, t.shape[1]):
-        acc += t[:, j]
-    return acc
 
 
 def _bvn_low(h, k, r, g):
@@ -149,14 +137,14 @@ def _bvn_low(h, k, r, g):
     coef[..., 0] = sn * inv
     coef[..., 1] = inv * -0.5
     coef[..., 2] = np.log(w)
-    feat = np.empty((h.shape[0], 3, max(h.shape[1], k.shape[1])))
+    feat = np.empty((h.shape[0], 3, np.broadcast_shapes(h.shape, k.shape)[1]))
     np.multiply(h, k, out=feat[:, 0])
     np.multiply(h, h, out=feat[:, 1])
     feat[:, 1] += k * k
     feat[:, 2] = 1.0
     t = np.matmul(coef, feat)
     np.exp(t, out=t)
-    acc = _node_sum(t)
+    acc = np.add.reduce(t, axis=1)
     acc *= asr / (2.0 * math.pi)
     acc += special.ndtr(h) * special.ndtr(k)
     return acc
@@ -175,7 +163,7 @@ def _bvn_high(h, k, r, upper):
     k = -k if upper else k
     as_ = (1.0 - r) * (1.0 + r)
     a = np.sqrt(as_)
-    feat = np.empty((h.shape[0], 5, max(h.shape[1], k.shape[1])))
+    feat = np.empty((h.shape[0], 5, np.broadcast_shapes(h.shape, k.shape)[1]))
     bs, hk, c, cd = feat[:, 0], feat[:, 1], feat[:, 3], feat[:, 4]
     np.subtract(h, k, out=bs)
     bs *= bs
@@ -188,43 +176,50 @@ def _bvn_high(h, k, r, upper):
     # asr <= 0; only asr > -100 counts, and the floor keeps exp off its slow
     # underflow
     asr = -(bs / as_ + hk) / 2.0
-    bvn = a * np.exp(np.maximum(asr, -300.0)) * (
-        1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + cd * as_ * as_
+    bvn = np.where(
+        asr > -100.0,
+        a * np.exp(np.maximum(asr, -300.0))
+        * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + cd * as_ * as_),
+        0.0,
     )
-    bvn *= asr > -100.0
     b = np.sqrt(bs)
     sp = math.sqrt(2.0 * math.pi) * special.ndtr(-b / a)
     bvn -= np.where(
         hk > -100.0, np.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0
     )
+    # c d overflows only at points where every node term is dropped; capped,
+    # it leaves those terms finite, so that multiplying by the mask zeroes them
+    np.minimum(cd, 1e250, out=cd)
     a = a / 2.0
-    # node j's term is exp(asr) (w (1 + c xs + 5 c d xs^2) - w exp(-hk xs /
-    # (2 (1 + rs)^2)) / rs), asr = -(bs / xs + hk) / 2, where asr > -100:
-    # asr and the log of the second part from (bs, hk, 1), the first part
-    # from (1, c, c d)
+    # node j's term is exp(asr) w (1 + c xs + 5 c d xs^2) - exp(asr + ep),
+    # asr = -(bs / xs + hk) / 2 and ep = -hk xs / (2 (1 + rs)^2) + log(w /
+    # rs), kept where asr > -100: asr from (bs, hk), asr + ep from (bs, hk,
+    # 1) and the polynomial from (1, c, c d).  Both exponents lie at or below
+    # about 0 at any finite limits, and their floor keeps exp off its slow
+    # subnormal results
     xs = (a * x) ** 2
     rs = np.sqrt(1.0 - xs)
     coef = np.zeros((3,) + xs.shape + (3,))
     coef[0, ..., 0] = -0.5 / xs
     coef[0, ..., 1] = -0.5
-    coef[1, ..., 1] = -0.5 * xs / (1.0 + rs) ** 2
+    coef[1, ..., :2] = coef[0, ..., :2]
+    coef[1, ..., 1] -= 0.5 * xs / (1.0 + rs) ** 2
     coef[1, ..., 2] = np.log(w) - np.log(rs)
     coef[2, ..., 0] = w
     coef[2, ..., 1] = w * xs
     coef[2, ..., 2] = 5.0 * w * xs * xs
-    # a kept term's asr lies above -100; the floor keeps exp off its slow
-    # subnormal results and every term finite
-    term = np.matmul(coef[0], feat[:, :3])
+    term = np.matmul(coef[0, ..., :2], feat[:, :2])
     keep = term > -100.0
     np.maximum(term, -300.0, out=term)
     np.exp(term, out=term)
-    ep = np.matmul(coef[1], feat[:, :3])
-    np.exp(ep, out=ep)
-    sp = np.matmul(coef[2], feat[:, 2:])
-    sp -= ep
-    term *= sp
+    # one more node array, for the polynomial and then for exp(asr + ep)
+    buf = np.matmul(coef[2], feat[:, 2:])
+    term *= buf
+    np.matmul(coef[1], feat[:, :3], out=buf)
+    np.maximum(buf, -300.0, out=buf)
+    term -= np.exp(buf, out=buf)
     term *= keep
-    bvn = (a * _node_sum(term) - bvn) / (2.0 * math.pi)
+    bvn = (a * np.add.reduce(term, axis=1) - bvn) / (2.0 * math.pi)
     if upper:
         return bvn + special.ndtr(-np.maximum(h, k))
     # r < 0: the difference of Phi, where h < k, taken on the side where it
@@ -254,7 +249,7 @@ def _bvn(h, k, r):
     if np.any(np.abs(r) >= 1.0):
         raise ValueError(f"correlation must lie in (-1, 1), got {r}")
     h, k, r, shape = _rows(h, k, r)
-    p = np.empty((h.shape[0], max(h.shape[1], k.shape[1])))
+    p = np.empty(np.broadcast_shapes(h.shape, k.shape))
     # rules 0-2 are the node rules, 3 and 4 the expansion for r > 0 and r < 0
     rule = np.searchsorted(_RULE_EDGES, np.abs(r[:, 0]), side="right")
     rule[(rule == 3) & ~(r[:, 0] > 0.0)] = 4

@@ -279,6 +279,35 @@ class TestBvn:
             diff = np.abs(normals.bvn_cdf(h, k, r) - bvn_loop_oracle(h, k, r))
             assert diff.max() <= 1e-15
 
+    @pytest.mark.parametrize(
+        "h, k, r",
+        [(200.0, -200.0, 0.93), (200.0, 200.0, -0.93), (1000.0, -40.0, 0.95),
+         (-40.0, 1000.0, 0.95), (-200.0, 200.0, -0.99), (1300.0, -1300.0, 0.999)],
+    )
+    def test_large_limits_match_reference_loops(self, h, k, r):
+        # limits far out, where the expansion's dropped node terms overflow:
+        # (h, k) and (k, h) in one row take the loops' values, and the log,
+        # finite, is the tail rule's
+        hk, rk = np.array([[h, k]]), np.full((1, 1), r)
+        p = normals.bvn_cdf(hk, hk[:, ::-1], rk)
+        assert np.abs(p - bvn_loop_oracle(hk, hk[:, ::-1], rk)).max() <= 1e-15
+        log_p = normals.log_bvn_cdf(h, k, r)
+        if p[0, 0] <= 1e-10:
+            tail = normals._log_bvn_tail(np.array([h]), np.array([k]), np.array([r]))
+            assert np.isfinite(log_p) and log_p == tail[0]
+        else:
+            assert log_p == pytest.approx(math.log(p[0, 0]), abs=1e-15)
+
+    def test_rows_without_columns(self):
+        # a block with no columns, as a sample without censored rows leaves,
+        # gives an empty result of its shape under every rule
+        r = np.array([[0.1], [0.5], [0.8], [0.95], [-0.95]])
+        for k in (np.zeros((5, 0)), np.zeros((5, 1))):
+            for f in (normals.bvn_cdf, normals.log_bvn_cdf):
+                assert f(np.zeros((5, 0)), k, r).shape == (5, 0)
+        assert normals.bvn_cdf([], [], 0.5).shape == (0,)
+        assert normals.log_bvn_cdf(0.5, 0.5, []).shape == (0,)
+
     @pytest.mark.parametrize("n_cols", [300, 700])
     def test_rows_keep_their_bytes_at_the_target_shapes(self, n_cols):
         # rows of one rule or of all rules together give the same bytes in

@@ -778,6 +778,28 @@ class TestBatchConsistency:
     def test_esnsm_batch_matches_scalar(self, gaussian_errors):
         self._check(*self._esnsm_case(gaussian_errors))
 
+    @pytest.mark.parametrize("selected", [0, 1])
+    def test_esnsm_batch_on_all_selected_or_all_censored_data(self, selected):
+        # with no censored (or no selected) rows one bivariate-CDF block has
+        # no columns; the target still matches its scalar oracle
+        rng = np.random.default_rng(34)
+        x = esnsm.CovariateSpec().draw(50, rng)
+        y = x @ [3.0, -2.0, 0.0] + rng.normal(size=50) if selected else np.full(50, np.nan)
+        data = esnsm.EsnsmData(x, np.full(50, selected), y[:, None])
+        hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
+        target = esnsm.make_esnsm_target(data, hyper, [0, 1], [0, 2])
+
+        def log_post(theta):
+            p = esnsm.params_from_particle(target.param_names, theta, 3)
+            return esnsm.loglik(p, data) + esnsm.log_prior_esnsm(p, hyper, data.x, [0, 1], [0, 2])
+
+        # about the origin: with no selected rows default_start is not finite
+        vmat = 0.3 * rng.normal(size=(10, target.dim))
+        self._check(target, log_post, vmat)
+        value, grad = target.log_target_grad_batch(vmat)
+        assert np.array_equal(value, target.log_target_batch(vmat))
+        assert np.isfinite(grad).all()
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
     def test_iid_constrained_map_of_a_matrix_is_row_by_row(self, model, d):
