@@ -726,7 +726,8 @@ def make_esnsm_target(
     )
 
     coef, *_ = np.linalg.lstsq(x1_obs, y_obs, rcond=None)
-    resid_var = float(np.var(y_obs - x1_obs @ coef)) or 1.0
+    # 1.0 where no row is selected (no residuals) or they have no spread
+    resid_var = (float(np.var(y_obs - x1_obs @ coef)) if y_obs.size else 0.0) or 1.0
     start_theta = np.concatenate(
         [
             coef,

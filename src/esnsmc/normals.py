@@ -52,6 +52,10 @@ _GL = tuple(
     for x, w in _GL_HALF
 )
 _RULE_EDGES = np.array([0.3, 0.75, 0.925])  # |r| where rules 1 and 2 and the expansion begin
+# |limit| from which Phi2 is Phi of the smaller limit to the last bit (Phi(-x)
+# underflows from x = 38.5) and is taken as such: the expansion's polynomial
+# in h k and (h - k)^2 overflows from about 1e38 on both limits, or 1e51 on one
+_HUGE_LIMIT = 1e30
 _TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(48)  # each deep-tail panel's rule
 _TAIL_BLOCK = 2**14  # node-by-point terms per pass of the deep-tail rule
 _TAIL_DROP, _TAIL_STEPS = 40.0, 8  # log integrand's fall at a panel end; Newton steps
@@ -261,8 +265,11 @@ def _bvn(h, k, r):
                 p[rows] = _bvn_low(h[rows], k[rows], r[rows], g)
             else:
                 p[rows] = _bvn_high(h[rows], k[rows], r[rows], g == 3)
-    if not (np.isfinite(h).all() and np.isfinite(k).all()):
-        p = np.where(np.isinf(h) | np.isinf(k), special.ndtr(np.minimum(h, k)), p)
+    # infinite and huge limits in one test: two reductions, no temporaries
+    if not all(-_HUGE_LIMIT < np.minimum.reduce(a, None, initial=0.0)
+               and np.maximum.reduce(a, None, initial=0.0) < _HUGE_LIMIT for a in (h, k)):
+        huge = (np.abs(h) >= _HUGE_LIMIT) | (np.abs(k) >= _HUGE_LIMIT)
+        p = np.where(huge, special.ndtr(np.minimum(h, k)), p)
     np.maximum(p, 0.0, out=p)
     return np.minimum(p, 1.0, out=p).reshape(shape)
 

@@ -437,6 +437,22 @@ class TestErrorPaths:
         )
         assert run_cli(["fit", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("model", ["esn-p1", "esn-p2"])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param(lambda a: [np.full_like(a, 0.1)], id="constant-column"),
+            pytest.param(lambda a: [a, 2.0 * a - 1.0], id="collinear-columns"),
+        ],
+    )
+    def test_singular_sample_covariance_is_data_error(self, tmp_path, capsys, model, columns):
+        z = np.column_stack(columns(np.random.default_rng(5).normal(size=60)))
+        header = ",".join(f"y{j + 1}" for j in range(z.shape[1]))
+        np.savetxt(tmp_path / "flat.csv", z, delimiter=",", header=header, comments="")
+        cfg = {"model": model, "seed": 1, "input": str(tmp_path / "flat.csv")}
+        assert run_cli(["fit", "--config", write_config(tmp_path / "flat.cfg", cfg)]) == 3
+        assert "sample covariance is singular" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, model, dataset, dump",
         [

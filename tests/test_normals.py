@@ -371,6 +371,19 @@ class TestBvn:
         assert normals.log_bvn_cdf(np.inf, -40.0, 0.3) == pytest.approx(-804.6084420137538)
         assert normals.log_bvn_cdf(-40.0, np.inf, -0.3) == pytest.approx(-804.6084420137538)
 
+    @pytest.mark.parametrize(
+        "h, k, r, p",
+        [(1e160, 1e160, 0.5, 1.0), (1e78, 0.3, 0.95, float(normals.norm_cdf(0.3))),
+         (0.3, 1e78, -0.95, float(normals.norm_cdf(0.3))), (1e160, -1e160, 0.95, 0.0),
+         (1e40, 1e40, 0.93, 1.0)],
+    )
+    def test_huge_finite_limits_are_taken_as_infinite(self, h, k, r, p):
+        # limits where h k, (h - k)^2 or the expansion's polynomial overflow;
+        # Phi2 there is Phi of the smaller limit to the last bit
+        assert normals.bvn_cdf(h, k, r) == p
+        log_p = normals.log_bvn_cdf(np.array([h, k]), np.array([k, h]), r)
+        assert log_p[0] == log_p[1] == pytest.approx(math.log(p) if p else -np.inf, abs=1e-16)
+
     def test_log_version_tail_guard(self):
         # probability underflows but the log stays finite and ordered
         val = normals.log_bvn_cdf(np.array([-30.0]), np.array([-30.0]), 0.3)[0]

@@ -1,11 +1,18 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.optimize import minimize
 
 from esnsmc import esn, esnsm, model_select, models, priors, smc
-from esnsmc.errors import DegenerateSystemError, InitializationError, ParameterDomainError
+from esnsmc.errors import (
+    DataError,
+    DegenerateSystemError,
+    InitializationError,
+    ParameterDomainError,
+)
 
 
 def gaussian_target(dim=1, mean=0.0, var=1.0):
@@ -793,9 +800,11 @@ class TestBatchConsistency:
             p = esnsm.params_from_particle(target.param_names, theta, 3)
             return esnsm.loglik(p, data) + esnsm.log_prior_esnsm(p, hyper, data.x, [0, 1], [0, 2])
 
-        # about the origin: with no selected rows default_start is not finite
         vmat = 0.3 * rng.normal(size=(10, target.dim))
         self._check(target, log_post, vmat)
+        # the start takes a unit outcome variance where no row is selected
+        assert np.isfinite(target.default_start).all()
+        assert np.isfinite(target.log_target(target.default_start))
         value, grad = target.log_target_grad_batch(vmat)
         assert np.array_equal(value, target.log_target_batch(vmat))
         assert np.isfinite(grad).all()
@@ -873,6 +882,62 @@ class TestBatchConsistency:
             target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
         vmat = target.default_start + 0.3 * rng.normal(size=(200, target.dim))
         self._assert_row_invariant(target, vmat, rng)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    def test_iid_row_blocks_give_one_row_bytes_on_any_worker_count(self, model, d, monkeypatch):
+        # 30000 observations make row blocks of 2^18 // 30000 = 8 rows, so
+        # 21 rows span three blocks, the last of 5 rows; two workers force the
+        # thread pool even on a one-core machine, and the errors that rows 0-5
+        # raise must stay silent on its threads as on the calling one
+        rng = np.random.default_rng(40 + d)
+        z = esn.sample(
+            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+            30000, rng,
+        )
+        h1, h2 = priors.default_hyper(d)
+        target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
+        vmat = target.default_start + 0.3 * rng.normal(size=(21, target.dim))
+        vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
+        vmat[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
+        vmat[5, 0] = np.nan
+        calls = []
+
+        def log_ndtr(x, **kwargs):
+            calls.append((x.shape, threading.get_ident()))
+            return special.log_ndtr(x, **kwargs)
+
+        monkeypatch.setattr(models, "log_ndtr", log_ndtr)
+        single = [target.log_target_grad_many(v[None]) for v in vmat]
+        single = tuple(np.concatenate(p) for p in zip(*single))
+        finite = np.isfinite(single[0])
+        assert finite.sum() == 19 and np.isneginf(single[0][4:6]).all()
+        for workers in (2, 1):
+            monkeypatch.setattr(models, "_workers", lambda: workers)
+            calls.clear()
+            batch = target.log_target_grad_many(vmat)
+            assert batch[0].tobytes() == single[0].tobytes()
+            assert batch[1][finite].tobytes() == single[1][finite].tobytes()
+            assert target.log_target_many(vmat).tobytes() == single[0].tobytes()
+            blocks = [shape[0] for shape, _ in calls if len(shape) == 2]
+            assert sorted(blocks) == [5, 5, 8, 8, 8, 8]
+            off_main = {ident for _, ident in calls} - {threading.get_ident()}
+            assert bool(off_main) == (workers > 1)
+
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param(lambda a: [np.full_like(a, 0.1)], id="constant-column"),
+            pytest.param(lambda a: [a, 2.0 * a - 1.0], id="collinear-columns"),
+        ],
+    )
+    def test_iid_singular_sample_covariance_is_data_error(self, model, columns):
+        z = np.column_stack(columns(np.random.default_rng(5).normal(size=60)))
+        hyper = priors.default_hyper(z.shape[1])[0 if model == "p1" else 1]
+        with pytest.raises(DataError, match="sample covariance is singular"):
+            models.make_iid_esn_target(z, hyper, model)
 
     @pytest.mark.parametrize("gaussian_errors", [False, True])
     def test_esnsm_batch_is_row_invariant(self, gaussian_errors):
