@@ -135,19 +135,39 @@ def load_config(path: str, overrides: dict, command: str) -> dict:
     return cfg
 
 
+def _with_entries(default, entries: dict):
+    """The hyperparameter dataclass ``default`` with ``entries`` in place of
+    its fields."""
+    try:
+        return replace(default, **entries)
+    except (TypeError, ValueError) as exc:  # also an unknown name
+        raise ConfigError(f"invalid hyperparameters: {exc}") from exc
+
+
 def _build_hyper(cfg: dict, d: int):
     """The default IID hyperparameter pair of dimension ``d``, with the
     config's ``hyper`` entries in place of the defaults."""
     h1, h2 = priors.default_hyper(d)
     over = cfg.get("hyper", {})
     own2 = {f.name for f in fields(h2)}
-    try:
-        return (
-            replace(h1, **{key: val for key, val in over.items() if key not in own2}),
-            replace(h2, **{key: val for key, val in over.items() if key in own2}),
-        )
-    except (TypeError, ValueError) as exc:  # also an unknown name
-        raise ConfigError(f"invalid hyperparameters: {exc}") from exc
+    return (
+        _with_entries(h1, {key: val for key, val in over.items() if key not in own2}),
+        _with_entries(h2, {key: val for key, val in over.items() if key in own2}),
+    )
+
+
+def _build_esnsm_hyper(cfg: dict, d: int, k_out: int, k_sel: int, n: int):
+    """The default selection-model hyperparameters with the config's
+    ``hyper`` entries in place of the defaults; ``mu_b``, ``mu_beta2`` and
+    ``V`` keep the defaults' shapes."""
+    default = esnsm.EsnsmHyper.defaults(d, k_out, k_sel, n)
+    hyper = _with_entries(default, cfg.get("hyper", {}))
+    for name in ("mu_b", "mu_beta2", "V"):
+        if getattr(hyper, name).shape != getattr(default, name).shape:
+            raise ConfigError(
+                f"invalid hyperparameters: {name} must have shape {getattr(default, name).shape}"
+            )
+    return hyper
 
 
 def _params_from_config(cfg: dict):
@@ -347,7 +367,9 @@ def _run_smc_fit(cfg: dict):
         k1 = data.x.shape[1]
         outcome_terms = _term_list(cfg, "outcome_terms", k1)
         select_terms = _term_list(cfg, "select_terms", k1)
-        hyper = esnsm.EsnsmHyper.defaults(data.y.shape[1], len(outcome_terms), len(select_terms), data.n)
+        hyper = _build_esnsm_hyper(
+            cfg, data.y.shape[1], len(outcome_terms), len(select_terms), data.n
+        )
         target = esnsm.make_esnsm_target(
             data, hyper, outcome_terms, select_terms,
             gaussian_errors=cfg.get("gaussian_errors", False),

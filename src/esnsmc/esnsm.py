@@ -306,8 +306,20 @@ class EsnsmHyper:
         self.mu_b = np.asarray(self.mu_b, dtype=float)
         self.mu_beta2 = np.atleast_1d(np.asarray(self.mu_beta2, dtype=float))
         self.V = np.atleast_2d(np.asarray(self.V, dtype=float))
-        if self.c_beta1 <= 0 or self.c_beta2 <= 0 or self.sigma2_alpha <= 0:
-            raise ValueError("scale factors must be positive")
+        if not all(0.0 < c < math.inf for c in (self.c_beta1, self.c_beta2, self.sigma2_alpha)):
+            raise ValueError("scale factors must be positive and finite")
+        if not (np.isfinite(self.mu_b).all() and np.isfinite(self.mu_beta2).all()):
+            raise ValueError("prior means must be finite")
+        d = self.V.shape[0]
+        if self.V.shape != (d, d) or not np.isfinite(self.V).all():
+            raise ValueError("V must be a finite square matrix")
+        try:
+            np.linalg.cholesky(self.V)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("V must be positive definite") from exc
+        # the inverse-Wishart density of the outcome scale needs nu > d - 1
+        if not d - 1 < self.nu < math.inf:
+            raise ValueError(f"nu must exceed d - 1 = {d - 1}, got {self.nu}")
 
     @classmethod
     def defaults(cls, d: int, k_out: int, k_sel: int, n: int) -> "EsnsmHyper":
@@ -552,7 +564,19 @@ def make_esnsm_target(
         """``weights @ x``, one column at a time as row sums."""
         return np.stack([(weights * x[:, j]).sum(axis=1) for j in range(x.shape[1])], axis=1)
 
-    def block(vmat, grad):
+    # the bivariate CDF's largest working set is two (rows, 20, columns)
+    # arrays of node terms in the |r| >= 0.925 expansion, 5.2 MB each at
+    # blocks of 2^15 points.  The size is measured, not derived: on a 2-vCPU
+    # x86 machine, a 200 x 1000-point batch at posterior particles took
+    # 33 ms in blocks of 2^15 points, 36 ms at 2^14 and 44 ms at 2^16, and
+    # cutting the node rule's work into chunks of 2^18 terms gained nothing
+    rows = max(1, 2**15 // data.n)
+
+    def evaluate(vmat, grad=False):
+        """The log target of each row of ``vmat`` and, with ``grad``, its
+        gradient: the per-particle terms once for the whole batch, then the
+        per-point work in row blocks, each returning sums over its rows'
+        points, then the scalar chain that combines them."""
         theta = to_constrained(vmat)
         b, b2 = theta[:, :k_out], theta[:, k_out:i_s]
         s1, s12 = theta[:, i_s], theta[:, i_s + 1]
@@ -567,7 +591,7 @@ def make_esnsm_target(
         # cancels, both routes agree
         c0 = np.sqrt(c0sq)
         t0 = lam / c0
-        h = mills_ratio_inv(t0)
+        h = normals.mills_ratio_inv(t0)
         xi1 = -(s1 * a1 + s12 * a2) / c0 * h
         xi2 = -(s12 * a1 + a2) / c0 * h
         sol12 = s12 / s1
@@ -578,26 +602,50 @@ def make_esnsm_target(
         c1 = 1.0 / np.sqrt(1.0 + a2 * a2 * s22_1)
         c0m = np.sqrt(1.0 + c1 * c1 * at1 * at1 * s1)
         c0s = np.sqrt(1.0 + (c2 * at2) ** 2)
-
-        # loglik; the CDF is reached through its module so that wrappers
-        # of esnsm.log_bvn_cdf, which expect a scalar r, do not see this call
         k = c2 * lam / c0s
         r_cen = np.clip(-(c2 * at2) / c0s, -1.0 + 1e-14, 1.0 - 1e-14)
-        hc = -products(b2, x2_cen) - xi2[:, None]
-        cen = normals.log_bvn_cdf(hc, k[:, None], r_cen[:, None])
-        ll = cen.sum(axis=1) - n_cen * log_ndtr(k)
         sd1 = np.sqrt(s1)
-        resid = y_obs - products(b, x1_obs) - xi1[:, None]
-        m = xi2[:, None] + products(b2, x2_obs) + resid * sol12[:, None]
-        lam_i = lam[:, None] + resid * at1[:, None]
         sd2 = np.sqrt(s22_1)
         kvar = np.sqrt(1.0 + a2 * a2 * s22_1)
         r_obs = np.clip(a2 * sd2 / kvar, -1.0 + 1e-14, 1.0 - 1e-14)
-        h_obs, k_obs = m / sd2[:, None], lam_i / kvar[:, None]
-        num = normals.log_bvn_cdf(h_obs, k_obs, r_obs[:, None])
-        sq = np.sum((resid / sd1[:, None]) ** 2, axis=1)
+
+        def point_sums(i):
+            """Rows i to i + rows: the censored and observed log CDF terms,
+            the squared standardised residuals and, with grad, the partials
+            that the chain below needs, each summed over the row's points.
+            The CDF is reached through its module so that wrappers of
+            esnsm.log_bvn_cdf, which expect a scalar r, do not see it."""
+            at = slice(i, i + rows)
+            kb, r_cb, r_ob = k[at, None], r_cen[at, None], r_obs[at, None]
+            hc = -products(b2[at], x2_cen) - xi2[at, None]
+            cen = normals.log_bvn_cdf(hc, kb, r_cb)
+            resid = y_obs - products(b[at], x1_obs) - xi1[at, None]
+            m = xi2[at, None] + products(b2[at], x2_obs) + resid * sol12[at, None]
+            lam_i = lam[at, None] + resid * at1[at, None]
+            h_obs, k_obs = m / sd2[at, None], lam_i / kvar[at, None]
+            num = normals.log_bvn_cdf(h_obs, k_obs, r_ob)
+            out = [cen.sum(axis=1), num.sum(axis=1), np.sum((resid / sd1[at, None]) ** 2, axis=1)]
+            if not grad:
+                return out
+            dh, dk, dr = normals.log_bvn_partials(hc, kb, r_cb, cen)
+            out += [dh.sum(axis=1), sums(dh, x2_cen), dk.sum(axis=1), dr.sum(axis=1)]
+            dh, dk, dr = normals.log_bvn_partials(h_obs, k_obs, r_ob, num)
+            g_m = dh / sd2[at, None]
+            g_lami = dk / kvar[at, None]
+            g_resid = g_m * sol12[at, None] + g_lami * at1[at, None] - resid / s1[at, None]
+            return out + [
+                dr.sum(axis=1), (dh * h_obs).sum(axis=1), (dk * k_obs).sum(axis=1),
+                g_resid.sum(axis=1), sums(g_resid, x1_obs), g_m.sum(axis=1), sums(g_m, x2_obs),
+                (g_m * resid).sum(axis=1), (g_lami * resid).sum(axis=1), g_lami.sum(axis=1),
+            ]
+
+        parts = [point_sums(i) for i in range(0, vmat.shape[0], rows)]
+        cen, num, sq, *point_grads = (np.concatenate(p) for p in zip(*parts))
+
+        # loglik
         t1 = c1 * lam / c0m
-        ll += -n_obs * (0.5 * _LOG_2PI + np.log(sd1) + log_ndtr(t1)) - 0.5 * sq + num.sum(axis=1)
+        ll = cen - n_cen * log_ndtr(k)
+        ll += -n_obs * (0.5 * _LOG_2PI + np.log(sd1) + log_ndtr(t1)) - 0.5 * sq + num
 
         # log_prior_esnsm without its constant terms
         db = b - mu_b
@@ -624,34 +672,27 @@ def make_esnsm_target(
             return value
 
         # the gradient, backwards through the same intermediates: g_v is
-        # d(log target)/dv; the clips of r bind only where dr/d(...) ~ 0
-        dh, dk, dr = normals.log_bvn_partials(hc, k[:, None], r_cen[:, None], cen)
-        g_xi2 = -dh.sum(axis=1)
-        g_b2 = -sums(dh, x2_cen)
-        g_k = dk.sum(axis=1) - n_cen * mills_ratio_inv(k)
+        # d(log target)/dv; the clips of r bind only where dr/d(...) ~ 0.
+        # Each name below first holds its point terms' row sums
+        (g_xi2, g_b2, g_k, g_rc, g_r, g_sd2, g_kvar,
+         g_xi1, g_b, g_m, g_mx, g_sol12, g_at1, g_lami) = point_grads
+        g_xi2, g_b2 = -g_xi2, -g_b2
+        g_k -= n_cen * normals.mills_ratio_inv(k)
         x = c2 * at2  # r_cen = -x / c0s, k = c2 lam / c0s, c0s^2 = 1 + x^2
-        g_x = -(g_k * k * x + dr.sum(axis=1) / c0s) / (c0s * c0s)
+        g_x = -(g_k * k * x + g_rc / c0s) / (c0s * c0s)
         g_lam = g_k * c2 / c0s
         g_c2 = g_k * lam / c0s + g_x * at2
         g_at2 = g_x * c2
 
-        dh, dk, dr = normals.log_bvn_partials(h_obs, k_obs, r_obs[:, None], num)
-        g_m = dh / sd2[:, None]
-        g_lami = dk / kvar[:, None]
-        g_r = dr.sum(axis=1)
-        g_sd2 = g_r * a2 / kvar - (dh * h_obs).sum(axis=1) / sd2
-        g_kvar = -(g_r * r_obs + (dk * k_obs).sum(axis=1)) / kvar
+        g_sd2 = g_r * a2 / kvar - g_sd2 / sd2
+        g_kvar = -(g_r * r_obs + g_kvar) / kvar
         g_a2 = g_r * sd2 / kvar
-        g_resid = g_m * sol12[:, None] + g_lami * at1[:, None] - resid / s1[:, None]
-        g_xi1 = -g_resid.sum(axis=1)
-        g_b = -sums(g_resid, x1_obs)
-        g_xi2 += g_m.sum(axis=1)
-        g_b2 += sums(g_m, x2_obs)
-        g_sol12 = (g_m * resid).sum(axis=1)
-        g_at1 = (g_lami * resid).sum(axis=1)
-        g_lam += g_lami.sum(axis=1)
+        g_xi1, g_b = -g_xi1, -g_b
+        g_xi2 += g_m
+        g_b2 += g_mx
+        g_lam += g_lami
         g_s1 = (sq - n_obs) / (2.0 * s1)  # through sd1
-        g_t1 = -n_obs * mills_ratio_inv(t1)
+        g_t1 = -n_obs * normals.mills_ratio_inv(t1)
         g_lam += g_t1 * c1 / c0m
         g_c0m = -g_t1 * t1 / c0m
         g_c1 = g_t1 * lam / c0m + g_c0m * c1 * at1 * at1 * s1 / c0m
@@ -704,19 +745,6 @@ def make_esnsm_target(
         if not gaussian_errors:
             cols += [g_a1[:, None], g_a2[:, None], g_lam[:, None]]
         return value, np.concatenate(cols, axis=1)
-
-    # the bivariate CDF's largest working set is two (rows, 20, columns)
-    # arrays of node terms in the |r| >= 0.925 expansion, about 5.2 MB at
-    # blocks of about 2^14 points, more than a 2 MiB per-core L2 holds.  The
-    # size is measured, not derived: on a 2-vCPU x86 machine, blocks of 2^12
-    # and 2^13 points took 1.1-1.6 times as long per batch, 2^15 no less
-    rows = max(1, 2**14 // data.n)
-
-    def evaluate(vmat, grad=False):
-        parts = [block(vmat[i : i + rows], grad) for i in range(0, vmat.shape[0], rows)]
-        if not grad:
-            return np.concatenate(parts)
-        return tuple(np.concatenate(p) for p in zip(*parts))
 
     names = (
         [f"beta1_{j}" for j in outcome_terms]

@@ -51,6 +51,7 @@ _GL = tuple(
     (np.concatenate([1.0 - np.array(x), 1.0 + np.array(x)]), np.array(w + w))
     for x, w in _GL_HALF
 )
+_GL_LOG_W = tuple(np.log(w) for _, w in _GL)
 _RULE_EDGES = np.array([0.3, 0.75, 0.925])  # |r| where rules 1 and 2 and the expansion begin
 # |limit| from which Phi2 is Phi of the smaller limit to the last bit (Phi(-x)
 # underflows from x = 38.5) and is taken as such: the expansion's polynomial
@@ -103,7 +104,13 @@ def _rows(h, k, r):
     """h, k and r as (R, P) arrays with one correlation per row: r's own
     axes lead and are kept, the rest of the broadcast shape becomes P.  A
     limit that is constant along a row stays (R, 1).  When r varies along a
-    trailing axis, every point is its own row."""
+    trailing axis, every point is its own row.  Limits that are already
+    (R, P) or (R, 1) with an (R, 1) r, the ESNSM target's layout, pass
+    through as they are."""
+    if r.ndim == h.ndim == k.ndim == 2 and r.shape[1] == 1:
+        (n_rows, hc), kc = h.shape, k.shape[1]
+        if n_rows == k.shape[0] == r.shape[0] and (hc == kc or kc == 1 or hc == 1):
+            return h, k, r, (n_rows, hc if kc == 1 else kc)
     shape = np.broadcast(h, k, r).shape
     r_shape = (1,) * (len(shape) - r.ndim) + r.shape
     lead = len(shape)
@@ -133,15 +140,14 @@ def _bvn_low(h, k, r, g):
     log weights, are one (J, 3) @ (3, P) product of per-row coefficients
     (sin / cos^2, -1 / (2 cos^2), log w) and per-point features (h k,
     h^2 + k^2, 1)."""
-    x, w = _GL[g]
     asr = np.arcsin(r) * 0.5
-    sn = np.sin(asr * x)
+    sn = np.sin(asr * _GL[g][0])
     inv = 1.0 / (1.0 - sn * sn)
     coef = np.empty(sn.shape + (3,))
     coef[..., 0] = sn * inv
     coef[..., 1] = inv * -0.5
-    coef[..., 2] = np.log(w)
-    feat = np.empty((h.shape[0], 3, np.broadcast_shapes(h.shape, k.shape)[1]))
+    coef[..., 2] = _GL_LOG_W[g]
+    feat = np.empty((h.shape[0], 3, _cols(h, k)))
     np.multiply(h, k, out=feat[:, 0])
     np.multiply(h, h, out=feat[:, 1])
     feat[:, 1] += k * k
@@ -167,7 +173,7 @@ def _bvn_high(h, k, r, upper):
     k = -k if upper else k
     as_ = (1.0 - r) * (1.0 + r)
     a = np.sqrt(as_)
-    feat = np.empty((h.shape[0], 5, np.broadcast_shapes(h.shape, k.shape)[1]))
+    feat = np.empty((h.shape[0], 5, _cols(h, k)))
     bs, hk, c, cd = feat[:, 0], feat[:, 1], feat[:, 3], feat[:, 4]
     np.subtract(h, k, out=bs)
     bs *= bs
@@ -208,7 +214,7 @@ def _bvn_high(h, k, r, upper):
     coef[0, ..., 1] = -0.5
     coef[1, ..., :2] = coef[0, ..., :2]
     coef[1, ..., 1] -= 0.5 * xs / (1.0 + rs) ** 2
-    coef[1, ..., 2] = np.log(w) - np.log(rs)
+    coef[1, ..., 2] = _GL_LOG_W[2] - np.log(rs)
     coef[2, ..., 0] = w
     coef[2, ..., 1] = w * xs
     coef[2, ..., 2] = 5.0 * w * xs * xs
@@ -237,6 +243,11 @@ def _bvn_high(h, k, r, upper):
     return low
 
 
+def _cols(h, k):
+    """P of (R, P) and (R, 1) limits, either way round."""
+    return h.shape[1] if k.shape[1] == 1 else k.shape[1]
+
+
 def _bvn(h, k, r):
     """P(X <= h, Y <= k) for standard bivariate normals with correlation r;
     h, k and r broadcast.
@@ -247,24 +258,30 @@ def _bvn(h, k, r):
     The rule is chosen per correlation and a row's values depend on that
     row alone: a point alone and the same point in a longer row may differ
     by one rounding (the node products are BLAS products over the row).
-    Absolute error about 1e-15.
+    Rows that all take one rule go to it as they are; mixed rows are
+    gathered by rule.  Absolute error about 1e-15.
     """
-    h, k, r = (np.asarray(a, dtype=float) for a in (h, k, r))
-    if np.any(np.abs(r) >= 1.0):
-        raise ValueError(f"correlation must lie in (-1, 1), got {r}")
-    h, k, r, shape = _rows(h, k, r)
-    p = np.empty(np.broadcast_shapes(h.shape, k.shape))
+    h, k, r, shape = _rows(*(np.asarray(a, dtype=float) for a in (h, k, r)))
+    ar = np.abs(r[:, 0])
+    if (ar >= 1.0).any():
+        raise ValueError(f"correlation must lie in (-1, 1), got {r[:, 0]}")
     # rules 0-2 are the node rules, 3 and 4 the expansion for r > 0 and r < 0
-    rule = np.searchsorted(_RULE_EDGES, np.abs(r[:, 0]), side="right")
+    # (and for a NaN r)
+    rule = np.searchsorted(_RULE_EDGES, ar, side="right")
     rule[(rule == 3) & ~(r[:, 0] > 0.0)] = 4
+    groups = np.flatnonzero(np.bincount(rule, minlength=5))
     with np.errstate(all="ignore"):
-        rules = np.unique(rule)
-        for g in rules:
-            rows = slice(None) if rules.size == 1 else np.flatnonzero(rule == g)
-            if g < 3:
-                p[rows] = _bvn_low(h[rows], k[rows], r[rows], g)
-            else:
-                p[rows] = _bvn_high(h[rows], k[rows], r[rows], g == 3)
+        if groups.size == 1:
+            g = groups[0]
+            p = _bvn_low(h, k, r, g) if g < 3 else _bvn_high(h, k, r, g == 3)
+        else:
+            p = np.empty((r.shape[0], _cols(h, k)))
+            for g in groups:
+                rows = np.flatnonzero(rule == g)
+                if g < 3:
+                    p[rows] = _bvn_low(h[rows], k[rows], r[rows], g)
+                else:
+                    p[rows] = _bvn_high(h[rows], k[rows], r[rows], g == 3)
     # infinite and huge limits in one test: two reductions, no temporaries
     if not all(-_HUGE_LIMIT < np.minimum.reduce(a, None, initial=0.0)
                and np.maximum.reduce(a, None, initial=0.0) < _HUGE_LIMIT for a in (h, k)):
@@ -331,7 +348,7 @@ def log_bvn_cdf(h, k, r):
     tail = p <= 1e-10
     with np.errstate(divide="ignore"):
         out = np.log(p, out=p)
-    if np.any(tail):
+    if tail.any():
         out[tail] = _log_bvn_tail(*(np.broadcast_to(a, p.shape)[tail] for a in (h, k, r)))
     return out if max(h.ndim, k.ndim, r.ndim) else float(out[0])
 

@@ -558,6 +558,38 @@ class TestErrorPaths:
         cfg.update(settings)
         assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg), *argv]) == 2
 
+    def test_esnsm_hyper_entries_reach_the_fit(self, tmp_path):
+        # a selection-model fit applies its hyper entries: a sharper
+        # outcome-coefficient prior moves the output, no entry changes nothing
+        settings = {"model": "esnsm", "seed": 44, "input": str(self._selection_data(tmp_path)),
+                    "particles": 100, "outcome_terms": [0, 1], "select_terms": [0, 2]}
+
+        def fit(name, **extra):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.cfg", {**settings, **extra, "output": str(out)})
+            assert run_cli(["fit", "--config", cfg]) == 0
+            return out.read_bytes()
+
+        default = fit("default.json")
+        assert fit("empty.json", hyper={}) == default
+        assert fit("sharp.json", hyper={"c_beta1": 0.001}) != default
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [{"d": 3}, {"kappa": 1}, {"mu_b": [0.0, 0.0]}, {"mu_b": [[0.0, 0.0, 0.0]]},
+         {"mu_beta2": [0.0]}, {"V": [[12.0, 0.0], [0.0, 12.0]]}, {"V": -1.0},
+         {"c_beta1": 0}, {"c_beta2": -5.0}, {"nu": 0}, {"sigma2_alpha": [1.0, 2.0]}],
+        ids=lambda h: "-".join(f"{k}={v}" for k, v in h.items()),
+    )
+    def test_bad_esnsm_hyper_is_config_error(self, tmp_path, hyper):
+        # an unknown name, a shape other than the default's or a bad value
+        cfg = write_config(
+            tmp_path / "fit.cfg",
+            {"model": "esnsm", "seed": 44, "input": str(self._selection_data(tmp_path)),
+             "outcome_terms": [0, 1], "select_terms": [0, 2], "hyper": hyper},
+        )
+        assert run_cli(["fit", "--config", cfg]) == 2
+
     def test_unreadable_config_or_truth_file_is_config_error(self, tmp_path):
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
         assert run_cli(["fit", "--config", tmp_path / "binary.cfg"]) == 2

@@ -8,6 +8,9 @@ from scipy.stats import norm
 from esnsmc import esn, esnsm
 from esnsmc.errors import DataError, ParameterDomainError
 
+# a RuntimeWarning that escapes an esnsm function fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 B_DESIGN = np.array([[3.0, -2.0, 0.0]])
 BETA2_DESIGN = np.array([1.5, 0.0, 2.0])
 

@@ -333,6 +333,39 @@ class TestBvn:
                 assert row_const.tobytes() == f(h, np.broadcast_to(k_row, h.shape), r).tobytes()
                 assert row_const.tobytes() == f(h, np.repeat(k_row, n_cols, axis=1), r).tobytes()
 
+    @pytest.mark.parametrize(
+        "rs",
+        [[0.5], [0.95], [-0.95], [0.1, -0.5, 0.8, 0.93, -0.99], [0.2, np.nan, -0.96, 0.6]],
+        ids=["one-rule", "expansion-up", "expansion-down", "mixed-rules", "nan-r"],
+    )
+    @pytest.mark.parametrize("n_cols", [0, 1, 40])
+    def test_row_layout_gives_the_bytes_of_the_general_layout(self, rs, n_cols):
+        # (R, P) or (R, 1) limits with an (R, 1) r pass through _rows as they
+        # are and go to the kernels without a gather where every row takes
+        # one rule; the same limits laid out in 3-d take the general path.
+        # Rows hold huge and infinite limits and deep-tail points
+        rng = np.random.default_rng(17)
+        r = np.resize(np.array(rs), 12)[:, None]
+        h = rng.normal(scale=2.0, size=(12, n_cols))
+        k = rng.normal(scale=2.0, size=(12, n_cols))
+        k_row = rng.normal(scale=2.0, size=(12, 1))
+        if n_cols:
+            h[0, 0], k[0, 0] = -9.0, -8.0
+            h[1, 0], k[2, 0] = 2.0 * normals._HUGE_LIMIT, -normals._HUGE_LIMIT
+            h[3, 0], k_row[4, 0] = -np.inf, np.inf
+            k_row[5, 0] = -30.0
+        for f in (normals.bvn_cdf, normals.log_bvn_cdf):
+            for kk in (k, k_row):
+                assert normals._rows(h, kk, r)[0] is h
+                lean = f(h, kk, r)
+                assert lean.shape == (12, n_cols)
+                general = f(h[:, None], kk[:, None], r[:, None])
+                assert general.shape == (12, 1, n_cols)
+                assert lean.tobytes() == general.tobytes()
+                if np.isnan(r[9, 0]):  # a NaN r gives NaN where no limit is huge
+                    assert np.isnan(lean[9]).all()
+                    assert not np.isnan(lean[np.isfinite(r[:, 0])]).any()
+
     def test_small_probability_at_strong_negative_correlation(self):
         # p = 1.03e-10, just above the log's switch to its tail quadrature
         h, k, r = -1.38, 0.60, -0.99

@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 from scipy.optimize import minimize
 
-from esnsmc import esn, esnsm, model_select, models, priors, smc
+from esnsmc import esn, esnsm, model_select, models, normals, priors, smc
 from esnsmc.errors import (
     DataError,
     DegenerateSystemError,
@@ -949,6 +949,53 @@ class TestBatchConsistency:
         # were once summed in another order for a lone row, which shows in
         # the total only when few observations leave the prior some weight
         self._esnsm_row_invariance(gaussian_errors, [0, 1], [0, 2], 40, 2000)
+
+    @pytest.mark.parametrize("gaussian_errors", [False, True])
+    def test_esnsm_batch_computes_per_particle_terms_once(self, gaussian_errors, monkeypatch):
+        # a 200-row batch on n = 1000: the per-particle terms are computed
+        # once for the whole batch (one inverse Mills ratio over all 200
+        # rows for the value, three with the gradient), each row block
+        # makes two CDF calls (censored, then observed points), and the
+        # value that comes with the gradient is the value alone
+        rng = np.random.default_rng(36)
+        truth = esnsm.EsnsmParams(
+            [[3.0, -2.0, 0.0]], [1.5, 0.0, 2.0], [[6.0]], [0.3 * math.sqrt(6.0)], [2.0, 1.0], -2.0
+        )
+        data = esnsm.simulate(truth, 1000, esnsm.CovariateSpec(), rng)
+        hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, data.n)
+        target = esnsm.make_esnsm_target(data, hyper, [0, 1], [0, 2], gaussian_errors)
+        vmat = target.default_start + 0.3 * rng.normal(size=(200, target.dim))
+        n_cen = int(np.sum(data.s == 0))
+        cdf_calls, mills_calls = [], []
+        real_cdf, real_mills = normals.log_bvn_cdf, normals.mills_ratio_inv
+
+        def cdf(h, k, r):
+            cdf_calls.append(np.shape(h))
+            return real_cdf(h, k, r)
+
+        def mills(x):
+            mills_calls.append(np.shape(x))
+            return real_mills(x)
+
+        monkeypatch.setattr(normals, "log_bvn_cdf", cdf)
+        monkeypatch.setattr(normals, "mills_ratio_inv", mills)
+
+        def counted(evaluate, n_mills):
+            cdf_calls.clear()
+            mills_calls.clear()
+            out = evaluate(vmat)
+            # the CDF's deep-tail rule takes its inverse Mills ratios on 2-d arrays
+            assert [s for s in mills_calls if len(s) == 1] == [(200,)] * n_mills
+            blocks = [s[0] for s in cdf_calls[::2]]
+            assert sum(blocks) == 200 and 1 < len(blocks) < 200
+            assert set(blocks[:-1]) == {blocks[0]} and blocks[-1] <= blocks[0]
+            assert cdf_calls[::2] == [(b, n_cen) for b in blocks]
+            assert cdf_calls[1::2] == [(b, data.n - n_cen) for b in blocks]
+            return out
+
+        values = counted(target.log_target_many, 1)
+        assert np.isfinite(values).all()
+        assert counted(target.log_target_grad_many, 3)[0].tobytes() == values.tobytes()
 
     @staticmethod
     def _central_differences(target, v, step):
