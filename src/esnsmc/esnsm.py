@@ -344,6 +344,7 @@ def log_prior_esnsm(
     x: np.ndarray,
     outcome_terms: Optional[Sequence[int]] = None,
     select_terms: Optional[Sequence[int]] = None,
+    gaussian_errors: bool = False,
 ) -> float:
     """Log prior density.
 
@@ -352,6 +353,8 @@ def log_prior_esnsm(
     Gaussian with covariance c_beta2 * (X2'X2)^{-1}; the outcome scale is
     inverse Wishart, the cross covariance uniform over the SPD-feasible
     ellipsoid given the scale, and shape/shift follow the IID-model priors.
+    With ``gaussian_errors`` (the Tobit-2 model) the shape and shift are
+    pinned at zero, not parameters, and have no prior term.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = params.d
@@ -384,6 +387,8 @@ def log_prior_esnsm(
         return -math.inf
     _, logdet_s1 = np.linalg.slogdet(params.sigma1)
     out += math.lgamma(d / 2.0 + 1.0) - 0.5 * d * math.log(math.pi) - 0.5 * logdet_s1
+    if gaussian_errors:
+        return float(out)
 
     out += float(
         np.sum(norm_logpdf(params.alpha / math.sqrt(hyper.sigma2_alpha)))
@@ -531,9 +536,9 @@ def make_esnsm_target(
         - 0.5 * k_sel * _LOG_2PI + 0.5 * logdet2
         + 0.5 * hyper.nu * math.log(0.5 * v0) - math.lgamma(0.5 * hyper.nu)
         - math.log(2.0)  # sigma12 uniform on (-sqrt(sigma1), sqrt(sigma1))
-        - _LOG_2PI - math.log(hyper.sigma2_alpha)
-        - 0.5 * _LOG_2PI
     )
+    if not gaussian_errors:  # the shape and shift priors; Tobit-2 pins both at zero
+        prior_const = prior_const - _LOG_2PI - math.log(hyper.sigma2_alpha) - 0.5 * _LOG_2PI
     obs = data.s == 1
     y_obs = data.y[obs, 0]
     x1_obs, x2_obs, x2_cen = x1[obs], x2[obs], x2[~obs]

@@ -15,11 +15,13 @@ particle-by-observation work is the skewing term of the ESN models.
 Sums over parameter indices are elementwise products added in index
 order or two-operand einsums, never BLAS products or three-operand
 einsums, so a particle gets the same bytes wherever it sits in a batch.
-The ESN targets therefore split a batch into row blocks of about 2^18
-observation-points and map them over one thread pool, a worker per core
-in the process's CPU affinity, with no setting for it: the partition
-depends on the number of observations alone, and the bytes do not
-depend on the worker count.
+The ESN targets therefore split a batch into row blocks of at most 2^18
+observation-points, as many as a multiple of the worker count, and map
+them over one thread pool, a worker per core in the process's CPU
+affinity, with no setting for it: the bytes depend neither on the
+partition nor on the worker count.  They also bound themselves from a
+tangent plane of their skew term, for the MH move's early rejection
+(``_esn_bound``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # points, 43-45 ms in blocks of 2^17 or 2^19, 47-49 ms in blocks of 2^16 and
 # 70-79 ms on one thread (medians of 40 interleaved calls, two runs)
 _BLOCK_POINTS = 2**18
+# a batch of fewer observation-points is one block on the calling thread
+_POOL_POINTS = 2**16
+# observation-points per chunk of the tangent pass (_tangent_states): 256 KiB
+# per array, a cache-sized slice of a block
+_CHUNK_POINTS = 2**15
 
 
 @lru_cache(maxsize=None)
@@ -242,21 +249,59 @@ def _gauss_loglik(st, xi, prec, logdet, grad=False):
     return value, (st.n * pe, 0.5 * (_sandwich(prec, st.scatter) + st.n * (_outer(pe, pe) - prec)))
 
 
-def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad=False):
+def _skew_arg(z, alpha, shift):
+    """alpha' z_i + shift for every particle and observation: the one
+    particle-by-observation array, summed column by column."""
+    arg = alpha[:, :1] * z[:, 0]
+    for j in range(1, z.shape[1]):
+        arg += alpha[:, j : j + 1] * z[:, j]
+    arg += shift[:, None]
+    return arg
+
+
+def _tangent_states(z, alpha, shift):
+    """Each row's skew sum S = sum_i log Phi(arg_i), arg_i = alpha' z_i +
+    shift (the bytes of the value pass), and its tangent state [S, M_0,
+    M_1..M_d, alpha, shift]: M_0 = sum_i m_i and M_j = sum_i m_i z_ij, with
+    m_i = phi(arg_i) / Phi(arg_i) = exp(log phi - log Phi), are the gradient
+    of S in (shift, alpha).  Runs in chunks of rows, so no array is larger
+    than a chunk."""
+    rows = max(1, _CHUNK_POINTS // z.shape[0])
+    sums = np.empty((alpha.shape[0], 2 + z.shape[1]))
+    for i in range(0, alpha.shape[0], rows):
+        arg = _skew_arg(z, alpha[i : i + rows], shift[i : i + rows])
+        log_phi = log_ndtr(arg)
+        out = sums[i : i + rows]
+        out[:, 0] = log_phi.sum(axis=1)
+        np.multiply(arg, arg, out=arg)
+        arg *= -0.5
+        arg -= log_phi
+        arg -= 0.5 * _LOG_2PI
+        m = np.exp(arg, out=arg)
+        out[:, 1] = m.sum(axis=1)
+        for j in range(z.shape[1]):
+            out[:, 2 + j] = np.einsum("ni,i->n", m, z[:, j])
+    return sums[:, 0], np.column_stack([sums, alpha, shift])
+
+
+def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad=False, tangent=False):
     """IID ESN log-likelihood per particle under the hidden-truncation form
     (precision and log-determinant of the scale, shape, shift, c0^2).  Its
     gradient parts are those in (xi, Sigma, alpha, lam), with c0^2 held
-    fixed, and the one in c0^2."""
-    # the one particle-by-observation array, summed column by column
-    arg = alpha[:, :1] * st.z[:, 0]
-    for j in range(1, st.d):
-        arg += alpha[:, j : j + 1] * st.z[:, j]
-    arg += (lam - np.einsum("nj,nj->n", alpha, xi))[:, None]
-    mills = mills_ratio_inv(arg) if grad else None  # d log Phi(arg) / d arg
-    skew = log_ndtr(arg, out=arg).sum(axis=1)
+    fixed, and the one in c0^2; with ``tangent``, the second return is each
+    row's tangent state (``_tangent_states``) instead."""
+    shift = lam - np.einsum("nj,nj->n", alpha, xi)
+    if tangent:
+        skew, states = _tangent_states(st.z, alpha, shift)
+    else:
+        arg = _skew_arg(st.z, alpha, shift)
+        mills = mills_ratio_inv(arg) if grad else None  # d log Phi(arg) / d arg
+        skew = log_ndtr(arg, out=arg).sum(axis=1)
     c0 = np.sqrt(c0sq)
     gauss, parts = _gauss_loglik(st, xi, prec, logdet, grad)
     value = gauss + skew - st.n * log_ndtr(lam / c0)
+    if tangent:
+        return value, states
     if not grad:
         return value, None
     g_xi, g_scale = parts
@@ -270,6 +315,33 @@ def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad=False):
         total - m0 / c0,
         0.5 * m0 * lam / (c0 * c0sq),
     )
+
+
+def _esn_bound(st, args, lp, log_jac, states):
+    """Upper bound on the IID ESN log target at particles (``args``, ``lp``
+    and ``log_jac`` as the evaluator forms them) from the tangent states of
+    the particles they were proposed from: every term but the skew sum, as
+    computed, plus the skew sum's tangent plane at the old particle.  The
+    skew sum, sum_i log Phi(alpha' z_i + shift), is concave in (alpha,
+    shift), so the plane lies above it.  The margin covers rounding: it is
+    2^-40 (4096 ulps at 1) times a sum of magnitudes that bounds every
+    rounding error of the value and of the plane, relative to the terms'
+    sizes, to each point's argument (at most ``reach`` = |shift| + |shift'|
+    + sum_j max_i |z_ij| (|alpha_j| + |alpha'_j|) in size) and to m_i, whose
+    exponent is off by a few ulps of |log Phi| <= |S|."""
+    xi, prec, logdet, alpha, lam, c0sq = args
+    gauss = _gauss_loglik(st, xi, prec, logdet)[0]
+    tail = st.n * log_ndtr(lam / np.sqrt(c0sq))
+    shift = lam - np.einsum("nj,nj->n", alpha, xi)
+    d = st.d
+    skew, m0, m_z = states[:, 0], states[:, 1], states[:, 2 : 2 + d]
+    alpha0, shift0 = states[:, 2 + d : 2 + 2 * d], states[:, 2 + 2 * d]
+    plane = skew + (shift - shift0) * m0 + np.einsum("nj,nj->n", alpha - alpha0, m_z)
+    reach = (np.abs(shift) + np.abs(shift0)
+             + np.einsum("nj,j->n", np.abs(alpha) + np.abs(alpha0), np.abs(st.z).max(axis=0)))
+    size = (np.abs(gauss) + np.abs(tail) + np.abs(lp) + np.abs(log_jac)
+            + (1.0 + reach) * (st.n + np.abs(plane) + (1.0 + np.abs(skew)) * (1.0 + m0)))
+    return gauss - tail + lp + log_jac + plane + 2.0**-40 * (1.0 + size)
 
 
 @lru_cache(maxsize=None)
@@ -289,26 +361,32 @@ def _pool():
 
 
 def _in_row_blocks(block, n):
-    """``block(vmat, grad)`` over row blocks of about 2^18 observation-points
-    (``n`` observations per row), mapped over a thread pool when the batch
-    has more than one block and the process more than one core.  The
-    skewing term's ``log_ndtr`` pass releases the GIL, so blocks run on all
-    cores.  The partition depends on n alone, and a row gets the same bytes
-    in any block, so the result does not depend on the worker count."""
-    rows = max(1, _BLOCK_POINTS // n)
+    """``block(vmat, **kw)`` over row blocks (``n`` observations per row),
+    mapped over a thread pool when the process has more than one core.  A
+    batch of at least 2^16 observation-points is cut into the fewest blocks
+    of at most 2^18 points whose count is a multiple of the worker count,
+    with the rows spread evenly (block sizes differ by at most one), so
+    every core gets the same share; a smaller batch, or one that makes a
+    single block, runs whole on the calling thread.  The skewing term's
+    ``log_ndtr`` pass releases the GIL, so blocks run on all cores.  A row
+    gets the same bytes in any block, so the result depends neither on the
+    partition nor on the worker count."""
 
-    def evaluate(vmat, grad=False):
-        if vmat.shape[0] <= rows:
-            return block(vmat, grad)
+    def evaluate(vmat, **kw):
+        rows = vmat.shape[0]
+        workers = _workers()
+        count = min(rows, workers * -(-rows * n // (workers * _BLOCK_POINTS)))
+        if rows * n < _POOL_POINTS or count < 2:
+            return block(vmat, **kw)
+        edges = [rows * i // count for i in range(count + 1)]
         err = np.geterr()  # error state is per thread, and pool threads start at the default
 
-        def run(i):
+        def run(lo, hi):
             with np.errstate(**err):
-                return block(vmat[i : i + rows], grad)
+                return block(vmat[lo:hi], **kw)
 
-        starts = range(0, vmat.shape[0], rows)
-        parts = list(_pool().map(run, starts) if _workers() > 1 else map(run, starts))
-        if not grad:
+        parts = list((_pool().map if workers > 1 else map)(run, edges[:-1], edges[1:]))
+        if not isinstance(parts[0], tuple):
             return np.concatenate(parts)
         return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -317,7 +395,8 @@ def _in_row_blocks(block, n):
 
 def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel:
     """Posterior target for IID extended skew-normal data under either
-    parametrisation, with its §-default prior block attached by the caller."""
+    parametrisation, with its §-default prior block attached by the caller.
+    It bounds itself (``_esn_bound``) for the MH move's early rejection."""
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
@@ -330,11 +409,14 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
                         "or the columns are collinear")
     pack = _Packing(d, extra=d + 1)
 
+    # Each ``terms`` returns the likelihood's arguments in hidden-truncation
+    # form, the log prior, the log-Jacobian, and the chain rule that maps the
+    # likelihood's gradient parts to the unconstrained gradient.
     if parametrization == "p1":
         if not isinstance(hyper, priors.HyperParamsP1):
             raise TypeError("p1 target needs HyperParamsP1")
 
-        def block(vmat, grad):
+        def terms(vmat, grad):
             xi, lmat, prec, logdet, rest, log_jac = pack.split(vmat)
             alpha, lam = rest[:, :d], rest[:, d]
             sa = np.einsum("nji,nj->ni", lmat, alpha)  # L' alpha
@@ -345,25 +427,25 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             lp -= 0.5 * (d * (_LOG_2PI + math.log(hyper.sigma2_alpha))
                          + np.einsum("nj,nj->n", da, da) / hyper.sigma2_alpha)
             lp -= 0.5 * (_LOG_2PI + np.log(c0sq) + lam * lam / c0sq)
-            ll, lik = _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad)
-            value = ll + lp + log_jac
-            if not grad:
-                return value
-            g_xi, g_scale, g_alpha, g_lam, g_c0sq = lik
-            # c0^2 = 1 + alpha' Sigma alpha, and its prior term
-            g_c0sq = g_c0sq - 0.5 * (1.0 - lam * lam / c0sq) / c0sq
-            g_alpha = (g_alpha - da / hyper.sigma2_alpha
-                       + 2.0 * g_c0sq[:, None] * _matvec(lmat, sa))
-            g_scale = g_scale + prior[1] + g_c0sq[:, None, None] * _outer(alpha, alpha)
-            return value, pack.gradient(g_xi + prior[0], g_scale, lmat,
-                                        g_alpha, (g_lam - lam / c0sq)[:, None])
+
+            def chain(lik):
+                g_xi, g_scale, g_alpha, g_lam, g_c0sq = lik
+                # c0^2 = 1 + alpha' Sigma alpha, and its prior term
+                g_c0sq = g_c0sq - 0.5 * (1.0 - lam * lam / c0sq) / c0sq
+                g_alpha = (g_alpha - da / hyper.sigma2_alpha
+                           + 2.0 * g_c0sq[:, None] * _matvec(lmat, sa))
+                g_scale = g_scale + prior[1] + g_c0sq[:, None, None] * _outer(alpha, alpha)
+                return pack.gradient(g_xi + prior[0], g_scale, lmat,
+                                     g_alpha, (g_lam - lam / c0sq)[:, None])
+
+            return (xi, prec, logdet, alpha, lam, c0sq), lp, log_jac, chain
 
         names = param_names(d, "sigma", "alpha", "lambda")
     elif parametrization == "p2":
         if not isinstance(hyper, priors.HyperParamsP2):
             raise TypeError("p2 target needs HyperParamsP2")
 
-        def block(vmat, grad):
+        def terms(vmat, grad):
             # convolution to hidden-truncation form (esn.p2_to_p1) by
             # Sherman-Morrison: with q = d' Omega^{-1} d, Sigma = Omega + d d'
             # has log|Sigma| = log|Omega| + log(1 + q), shape
@@ -375,30 +457,44 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             sig_prec = prec - np.einsum("nj,nk->njk", pd, pd) / q1[:, None, None]
             root = np.sqrt(q1)
             alpha = pd / root[:, None]
-            ll, lik = _esn_loglik(st, xi, sig_prec, logdet + np.log(q1), alpha, c * root, q1,
-                                  grad)
             lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0t, hyper.kappat, hyper.nut,
                                     hyper.Vt, grad)
             lp_d, prior_d = _gauss_logpdf(dvec, hyper.mu_d, prec, logdet, hyper.kappa_d, grad)
             lp += lp_d
             lp -= 0.5 * (_LOG_2PI + c * c)
-            value = ll + lp + log_jac
-            if not grad:
-                return value
-            # the P1 gradient through the map: d alpha = d(pd) / root - alpha
-            # d root / root, d(pd) = P dd - P dOmega pd, d q = 2 pd'dd - pd'dOmega pd
-            g_xi, g_scale, g_alpha, g_lam, g_q = lik
-            g_pd = _matvec(prec, g_alpha) / root[:, None]
-            g_q = g_q + (g_lam * c - np.einsum("nj,nj->n", g_alpha, alpha) / root) / (2.0 * root)
-            g_d = 2.0 * _matvec(g_scale, dvec) + g_pd + 2.0 * g_q[:, None] * pd + prior_d[0]
-            g_omega = (g_scale + prior[1] + prior_d[1] - g_q[:, None, None] * _outer(pd, pd)
-                       - 0.5 * (_outer(g_pd, pd) + _outer(pd, g_pd)))
-            return value, pack.gradient(g_xi + prior[0], g_omega, lmat,
-                                        g_d, (g_lam * root - c)[:, None])
+
+            def chain(lik):
+                # the P1 gradient through the map: d alpha = d(pd) / root -
+                # alpha d root / root, d(pd) = P dd - P dOmega pd,
+                # d q = 2 pd'dd - pd'dOmega pd
+                g_xi, g_scale, g_alpha, g_lam, g_q = lik
+                g_pd = _matvec(prec, g_alpha) / root[:, None]
+                g_q = g_q + ((g_lam * c - np.einsum("nj,nj->n", g_alpha, alpha) / root)
+                             / (2.0 * root))
+                g_d = 2.0 * _matvec(g_scale, dvec) + g_pd + 2.0 * g_q[:, None] * pd + prior_d[0]
+                g_omega = (g_scale + prior[1] + prior_d[1] - g_q[:, None, None] * _outer(pd, pd)
+                           - 0.5 * (_outer(g_pd, pd) + _outer(pd, g_pd)))
+                return pack.gradient(g_xi + prior[0], g_omega, lmat,
+                                     g_d, (g_lam * root - c)[:, None])
+
+            return (xi, sig_prec, logdet + np.log(q1), alpha, c * root, q1), lp, log_jac, chain
 
         names = param_names(d, "omega", "d", "c")
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
+
+    def block(vmat, grad=False, tangent=False):
+        args, lp, log_jac, chain = terms(vmat, grad)
+        ll, extra = _esn_loglik(st, *args, grad=grad, tangent=tangent)
+        value = ll + lp + log_jac
+        if grad:
+            return value, chain(extra)
+        return (value, extra) if tangent else value
+
+    def bound(vmat, states):
+        args, lp, log_jac, _ = terms(vmat, False)
+        return _esn_bound(st, args, lp, log_jac, states)
+
     evaluate = _in_row_blocks(block, st.n)
 
     mean = st.mean
@@ -421,6 +517,8 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
         to_constrained=pack.to_constrained,
         param_names=names,
         default_start=pack.to_unconstrained(start_theta),
+        log_target_tangent_batch=lambda vmat: evaluate(vmat, tangent=True),
+        log_bound_batch=bound,
     )
 
 

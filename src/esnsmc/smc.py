@@ -95,13 +95,22 @@ class TargetModel:
 
     ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
     to the N values of the unnormalised log posterior plus the
-    log-determinant of d(constrained)/d(unconstrained); it is the only
-    route by which the sampler evaluates the target.
+    log-determinant of d(constrained)/d(unconstrained); it, or
+    ``log_target_tangent_batch`` where the target bounds itself (below),
+    is the only route by which the sampler evaluates the target.
     ``log_target_grad_batch``, where the target has one, returns the same
     N values (the same bytes) together with their (N, dim) gradient in the
     unconstrained coordinates; ``laplace_init`` needs it.
     ``to_constrained`` maps one unconstrained vector, or an (N, dim) matrix
     of them, to the flat constrained layout.
+
+    A target may also bound itself for the MH move's early rejection.
+    ``log_target_tangent_batch`` returns the values of ``log_target_batch``
+    (the same bytes) together with an (N, k) tangent state per row, and
+    ``log_bound_batch(vmat, states)`` returns, for each row of vmat, a value
+    never below that row's ``log_target_many``, computed from the state of
+    the particle the row was proposed from and without the per-observation
+    work of a full evaluation.  A target without them is bounded by +inf.
     """
 
     dim: int
@@ -111,6 +120,10 @@ class TargetModel:
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
     default_start: Optional[np.ndarray] = None
+    log_target_tangent_batch: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    ] = None
+    log_bound_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def log_target(self, v) -> float:
         return float(self.log_target_many(np.asarray(v, dtype=float)[None])[0])
@@ -134,6 +147,29 @@ class TargetModel:
         out[~np.isfinite(out)] = -np.inf
         return out, np.asarray(grad, dtype=float)
 
+    def log_target_tangent_many(self, vmat) -> tuple[np.ndarray, np.ndarray]:
+        """Values as ``log_target_many`` gives them, and each row's tangent
+        state for ``log_bound_many``: (N, 0) for a target without a bound."""
+        vmat = np.atleast_2d(vmat)
+        if self.log_target_tangent_batch is None:
+            return self.log_target_many(vmat), np.empty((vmat.shape[0], 0))
+        with np.errstate(all="ignore"):
+            out, states = self.log_target_tangent_batch(vmat)
+        out = np.array(out, dtype=float)
+        out[~np.isfinite(out)] = -np.inf
+        return out, np.asarray(states, dtype=float)
+
+    def log_bound_many(self, vmat, states) -> np.ndarray:
+        """An upper bound on ``log_target_many`` at each row of vmat, from the
+        tangent state (``log_target_tangent_many``) of the particle that row
+        was proposed from: +inf without a bound or without states, NaN where
+        the state is not usable."""
+        vmat = np.atleast_2d(vmat)
+        if self.log_bound_batch is None or states is None:
+            return np.full(vmat.shape[0], np.inf)
+        with np.errstate(all="ignore"):
+            return np.asarray(self.log_bound_batch(vmat, states), dtype=float)
+
     def _eta1(self) -> GaussianInit:
         if self.eta1 is None:
             raise InitializationError("target has no initial distribution attached")
@@ -154,15 +190,17 @@ class StageRecord:
 class ParticleSystem:
     """Weighted particle population in unconstrained coordinates.
 
-    Each particle carries its log target ``log_pi`` and its log eta1
-    density ``log_eta``, computed once when the particle is proposed; the
-    step functions read them and never evaluate the target.
+    Each particle carries its log target ``log_pi``, its log eta1 density
+    ``log_eta`` and the target's tangent state ``tangent`` (None: not
+    known), computed once when the particle is proposed; the step
+    functions read them and never evaluate the target.
     """
 
     particles: np.ndarray
     log_weights: np.ndarray
     log_pi: np.ndarray
     log_eta: np.ndarray
+    tangent: Optional[np.ndarray] = None
     rho: float = 0.0
     log_evidence_acc: float = 0.0
     history: list[StageRecord] = field(default_factory=list)
@@ -320,31 +358,52 @@ def rwmh_propagate(
     Jacobian included; the current particles' values come from
     ``system.log_pi`` and ``system.log_eta``, and the accepted proposals'
     values are written back there.
+
+    Each step draws its proposals and its uniforms first, then rejects
+    early: a proposal whose bridge density, with the target's upper bound
+    (``TargetModel.log_bound_many``) in place of its value, already fails
+    the test is rejected without evaluating the target.  Because the
+    bound is never below the value and the bridge density's rounding is
+    monotone in it, such a proposal would have been rejected anyway, so
+    every decision is the one a full evaluation gives.  The other rows
+    are evaluated in one batch.  A NaN bound, a current value of -inf or
+    a target without a bound (+inf) leaves the row to be evaluated.
     """
     eta = target._eta1()
-    x = system.particles
+    x = system.particles.copy()
     chol = _proposal_chol(cov, system.scale)
 
-    cur_eta = system.log_eta
-    cur_pi = system.log_pi
+    cur_eta = system.log_eta.copy()
+    cur_pi = system.log_pi.copy()
+    tangent = None if system.tangent is None else system.tangent.copy()
     cur = (1.0 - rho) * cur_eta + rho * cur_pi
     n, dim = x.shape
     accepted = 0
     for _ in range(config.mh_steps):
         prop = x + rng.standard_normal((n, dim)) @ chol.T
-        prop_eta = eta.logpdf_batch(prop)
-        prop_pi = target.log_target_many(prop)
-        cand = (1.0 - rho) * prop_eta + rho * prop_pi
         logu = np.log(rng.uniform(size=n))
-        acc = logu < cand - cur
-        x = np.where(acc[:, None], prop, x)
-        cur = np.where(acc, cand, cur)
-        cur_eta = np.where(acc, prop_eta, cur_eta)
-        cur_pi = np.where(acc, prop_pi, cur_pi)
-        accepted += int(acc.sum())
+        prop_eta = eta.logpdf_batch(prop)
+        with np.errstate(invalid="ignore"):
+            ceiling = (1.0 - rho) * prop_eta + rho * target.log_bound_many(prop, tangent) - cur
+        keep = np.flatnonzero(~(logu >= ceiling))  # a NaN ceiling is kept
+        if keep.size == 0:
+            continue
+        prop_pi, prop_tangent = target.log_target_tangent_many(prop[keep])
+        cand = (1.0 - rho) * prop_eta[keep] + rho * prop_pi
+        acc = logu[keep] < cand - cur[keep]
+        moved = keep[acc]
+        x[moved] = prop[moved]
+        cur[moved] = cand[acc]
+        cur_eta[moved] = prop_eta[moved]
+        cur_pi[moved] = prop_pi[acc]
+        if tangent is None:
+            tangent = np.full((n, prop_tangent.shape[1]), np.nan)
+        tangent[moved] = prop_tangent[acc]
+        accepted += moved.size
     system.particles = x
     system.log_pi = cur_pi
     system.log_eta = cur_eta
+    system.tangent = tangent
     system.last_acceptance = accepted / (config.mh_steps * n)
     return system
 
@@ -366,11 +425,13 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     ss = np.random.SeedSequence(config.seed)
     n = config.n_particles
     particles = eta.sample(np.random.default_rng(ss.spawn(1)[0]), n)
+    log_pi, tangent = target.log_target_tangent_many(particles)
     system = ParticleSystem(
         particles=particles,
         log_weights=np.full(n, -math.log(n)),
-        log_pi=target.log_target_many(particles),
+        log_pi=log_pi,
         log_eta=eta.logpdf_batch(particles),
+        tangent=tangent,
         rho=0.0,
         scale=config.scale_init if config.scale_init is not None else 2.38**2 / target.dim,
     )
@@ -395,6 +456,7 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
         system.particles = system.particles[idx]
         system.log_pi = system.log_pi[idx]
         system.log_eta = system.log_eta[idx]
+        system.tangent = system.tangent[idx]
         system.log_weights = np.full(n, -math.log(n))
         system.rho = rho_new
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -436,6 +437,124 @@ class TestParticleState:
         np.testing.assert_allclose(system.log_eta, target.eta1.logpdf_batch(x), rtol=1e-12)
 
 
+def _iid_target(model, d, n, seed):
+    rng = np.random.default_rng(seed)
+    z = esn.sample(
+        esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0), n, rng
+    )
+    h1, h2 = priors.default_hyper(d)
+    return models.make_iid_esn_target(z, h1 if model == "p1" else h2, model), rng
+
+
+class TestEarlyRejection:
+    """The MH move rejects a proposal without evaluating it when the
+    target's upper bound already fails the acceptance test; every decision
+    stays the one a full evaluation gives."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    def test_iid_bound_is_never_below_the_value(self, model, d):
+        target, rng = _iid_target(model, d, 400, 60 + d)
+        cur = target.default_start + 0.3 * rng.normal(size=(40, target.dim))
+        cur[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
+        cur[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
+        values, states = target.log_target_tangent_many(cur)
+        assert values.tobytes() == target.log_target_many(cur).tobytes()
+        assert states.shape == (40, 2 * d + 3)
+        finite = np.isfinite(values)
+        assert finite.sum() == 39
+        # the proposal itself, near and far proposals, proposals in the tails
+        # from ordinary particles, and ones whose scale underflows
+        for step in (0.0, 1e-9, 1e-4, 0.05, 0.5, 3.0):
+            prop = cur + step * rng.normal(size=cur.shape)
+            prop[5:9, -1] = [40.0, -40.0, 25.0, -25.0]
+            prop[9, d] = -800.0
+            bound = target.log_bound_many(prop, states)
+            value = target.log_target_many(prop)
+            assert not np.any(bound < value), (step, np.flatnonzero(bound < value))
+            assert np.isneginf(value[9]) and not bound[9] > -np.inf  # rejected unevaluated
+            usable = finite & np.isfinite(value)
+            assert np.isfinite(bound[usable]).all()
+            if step == 0.0:  # a tangent plane touches at its own particle
+                usable[5:9] = False
+                gap = bound[usable] - value[usable]
+                assert np.all(gap < 1e-3 * (1.0 + np.abs(value[usable])))
+
+    @pytest.mark.parametrize("model, d, seed", [("p1", 1, 0), ("p1", 1, 1), ("p2", 1, 2),
+                                                ("p1", 2, 3), ("p2", 3, 4)])
+    def test_run_gives_the_bytes_of_the_unscreened_target(self, model, d, seed):
+        target, _ = _iid_target(model, d, 300, 70 + seed)
+        config = smc.SmcConfig(n_particles=400, seed=seed)
+        target.eta1 = smc.initial_distribution(target, config)
+        plain = dataclasses.replace(target, log_target_tangent_batch=None, log_bound_batch=None)
+        rows = {"screened": 0, "plain": 0}
+
+        def counted(key, evaluate):
+            def spy(vmat):
+                rows[key] += vmat.shape[0]
+                return evaluate(vmat)
+            return spy
+
+        target.log_target_tangent_batch = counted("screened", target.log_target_tangent_batch)
+        plain.log_target_batch = counted("plain", plain.log_target_batch)
+        screened, full = smc.run(target, config), smc.run(plain, config)
+        assert screened.system.particles.tobytes() == full.system.particles.tobytes()
+        assert screened.system.log_pi.tobytes() == full.system.log_pi.tobytes()
+        assert screened.log_evidence == full.log_evidence
+        assert ([r.acceptance_rate for r in screened.diagnostics]
+                == [r.acceptance_rate for r in full.diagnostics])
+        assert full.system.tangent.shape == (400, 0)
+        assert rows["plain"] == 400 * (1 + full.n_stages * config.mh_steps)
+        assert rows["screened"] < 0.9 * rows["plain"]
+
+    def test_nan_state_or_infinite_current_value_is_evaluated(self):
+        # a bound of -inf rejects every row it can: only the row whose state
+        # is NaN and the row whose current value is -inf are evaluated
+        target = gaussian_target()
+        target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
+        evaluated = []
+
+        def tangent_batch(vmat):
+            evaluated.extend(vmat[:, 0])
+            return target.log_target_batch(vmat), np.zeros((vmat.shape[0], 1))
+
+        target.log_target_tangent_batch = tangent_batch
+        target.log_bound_batch = lambda vmat, states: np.where(np.isnan(states[:, 0]),
+                                                                np.nan, -np.inf)
+        x = np.arange(6.0)[:, None]
+        sys = make_system(target, np.full(6, -math.log(6)), x, rho=0.5)
+        sys.tangent = np.zeros((6, 1))
+        sys.tangent[1] = np.nan
+        sys.log_pi[3] = -np.inf
+        sys.scale = 1e-18  # proposals within 1e-8 of their particles
+        cfg = smc.SmcConfig(n_particles=6, mh_steps=1, seed=0)
+        smc.rwmh_propagate(sys, target, 0.5, np.eye(1), cfg, np.random.default_rng(7))
+        assert evaluated == pytest.approx([1.0, 3.0], abs=1e-6)
+        assert sys.log_pi[3] == target.log_target(sys.particles[3])  # accepted from -inf
+        assert sys.tangent[3, 0] == 0.0
+        # with every state usable and every value finite, nothing is evaluated
+        sys.tangent[:] = 0.0
+        evaluated.clear()
+        smc.rwmh_propagate(sys, target, 0.5, np.eye(1), cfg, np.random.default_rng(8))
+        assert evaluated == [] and sys.last_acceptance == 0.0
+
+    def test_system_without_states_is_evaluated_in_full(self):
+        # a system built without tangent states takes them from the rows
+        # that move; the rest stay unknown (NaN) and are evaluated next time
+        target, rng = _iid_target("p1", 1, 300, 80)
+        target.eta1 = smc.GaussianInit(target.default_start, 0.01 * np.eye(target.dim))
+        x = target.eta1.sample(rng, 200)
+        sys = make_system(target, np.full(200, -math.log(200)), x, rho=1.0)
+        assert sys.tangent is None
+        cfg = smc.SmcConfig(n_particles=200, mh_steps=1, seed=0)
+        smc.rwmh_propagate(sys, target, 1.0, 0.01 * np.eye(target.dim), cfg, rng)
+        moved = ~np.isnan(sys.tangent[:, 0])
+        assert 0 < moved.sum() < 200
+        values, states = target.log_target_tangent_many(sys.particles[moved])
+        assert states.tobytes() == sys.tangent[moved].tobytes()
+        assert values.tobytes() == sys.log_pi[moved].tobytes()
+
+
 class TestLaplaceInit:
     def test_gaussian_target_recovered_exactly(self):
         target = gaussian_target(dim=2, mean=0.7, var=2.5)
@@ -785,6 +904,23 @@ class TestBatchConsistency:
     def test_esnsm_batch_matches_scalar(self, gaussian_errors):
         self._check(*self._esnsm_case(gaussian_errors))
 
+    def test_tobit2_prior_has_no_shape_or_shift_term(self):
+        # with Gaussian errors the shape and shift are pinned at zero, so the
+        # batch is the scalar log-likelihood plus the Tobit-2 prior and
+        # log|J|; the full prior at alpha = 0, lambda = 0 adds their log
+        # densities there, -1.5 log 2 pi - log sigma2_alpha (-5.06 nats)
+        target, log_post, vmat = self._esnsm_case(True)
+        self._check(target, log_post, vmat)
+        hyper = esnsm.EsnsmHyper.defaults(1, 2, 2, 300)
+        x = np.random.default_rng(32).normal(size=(300, 3))
+        for theta in target.to_constrained(vmat[4:10]):
+            p = esnsm.params_from_particle(target.param_names, theta, 3)
+            full = esnsm.log_prior_esnsm(p, hyper, x, [0, 1], [0, 2])
+            tobit = esnsm.log_prior_esnsm(p, hyper, x, [0, 1], [0, 2], gaussian_errors=True)
+            assert full - tobit == pytest.approx(
+                -1.5 * math.log(2.0 * math.pi) - math.log(hyper.sigma2_alpha), abs=1e-12
+            )
+
     @pytest.mark.parametrize("selected", [0, 1])
     def test_esnsm_batch_on_all_selected_or_all_censored_data(self, selected):
         # with no censored (or no selected) rows one bivariate-CDF block has
@@ -834,7 +970,9 @@ class TestBatchConsistency:
 
         def log_post(theta):
             p = esnsm.params_from_particle(target.param_names, theta, 3)
-            return esnsm.loglik(p, data) + esnsm.log_prior_esnsm(p, hyper, data.x, [0, 1], [0, 2])
+            return esnsm.loglik(p, data) + esnsm.log_prior_esnsm(
+                p, hyper, data.x, [0, 1], [0, 2], gaussian_errors=gaussian_errors
+            )
 
         vmat = target.default_start + 0.3 * rng.normal(size=(30, target.dim))
         # error correlation tanh(w) within 1e-12 and 1e-9 of +-1
@@ -887,21 +1025,20 @@ class TestBatchConsistency:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("model", ["p1", "p2"])
     def test_iid_row_blocks_give_one_row_bytes_on_any_worker_count(self, model, d, monkeypatch):
-        # 30000 observations make row blocks of 2^18 // 30000 = 8 rows, so
-        # 21 rows span three blocks, the last of 5 rows; two workers force the
-        # thread pool even on a one-core machine, and the errors that rows 0-5
-        # raise must stay silent on its threads as on the calling one
-        rng = np.random.default_rng(40 + d)
-        z = esn.sample(
-            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
-            30000, rng,
-        )
-        h1, h2 = priors.default_hyper(d)
-        target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
-        vmat = target.default_start + 0.3 * rng.normal(size=(21, target.dim))
-        vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
-        vmat[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
-        vmat[5, 0] = np.nan
+        # A batch of at least 2^16 points is cut into the fewest blocks of at
+        # most 2^18 points whose count is a multiple of the worker count, rows
+        # spread evenly.  Three batches, block sizes by worker count:
+        cases = [
+            # 21 rows of 30000 points: 630000 points
+            (30000, 21, {2: [5, 5, 5, 6], 1: [7, 7, 7]}),
+            # 66000 points, just above 2^16, which used to be one block
+            (1000, 66, {2: [33, 33], 1: [66]}),
+            # an odd, survivor-sized subset of a 2000-row batch
+            (1000, 1101, {2: [183, 183, 183, 184, 184, 184], 1: [220, 220, 220, 220, 221]}),
+        ]
+        # two workers force the thread pool even on a one-core machine, and
+        # the errors that rows 0-5 raise must stay silent on its threads as
+        # on the calling one
         calls = []
 
         def log_ndtr(x, **kwargs):
@@ -909,21 +1046,33 @@ class TestBatchConsistency:
             return special.log_ndtr(x, **kwargs)
 
         monkeypatch.setattr(models, "log_ndtr", log_ndtr)
-        single = [target.log_target_grad_many(v[None]) for v in vmat]
-        single = tuple(np.concatenate(p) for p in zip(*single))
-        finite = np.isfinite(single[0])
-        assert finite.sum() == 19 and np.isneginf(single[0][4:6]).all()
-        for workers in (2, 1):
-            monkeypatch.setattr(models, "_workers", lambda: workers)
-            calls.clear()
-            batch = target.log_target_grad_many(vmat)
-            assert batch[0].tobytes() == single[0].tobytes()
-            assert batch[1][finite].tobytes() == single[1][finite].tobytes()
-            assert target.log_target_many(vmat).tobytes() == single[0].tobytes()
-            blocks = [shape[0] for shape, _ in calls if len(shape) == 2]
-            assert sorted(blocks) == [5, 5, 8, 8, 8, 8]
-            off_main = {ident for _, ident in calls} - {threading.get_ident()}
-            assert bool(off_main) == (workers > 1)
+        for n, rows, blocks in cases:
+            rng = np.random.default_rng(40 + d)
+            z = esn.sample(
+                esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+                n, rng,
+            )
+            h1, h2 = priors.default_hyper(d)
+            target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
+            vmat = target.default_start + 0.3 * rng.normal(size=(rows, target.dim))
+            vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
+            vmat[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
+            vmat[5, 0] = np.nan
+            single = [target.log_target_grad_many(v[None]) for v in vmat]
+            single = tuple(np.concatenate(p) for p in zip(*single))
+            finite = np.isfinite(single[0])
+            assert finite.sum() == rows - 2 and np.isneginf(single[0][4:6]).all()
+            for workers in (2, 1):
+                monkeypatch.setattr(models, "_workers", lambda: workers)
+                calls.clear()
+                batch = target.log_target_grad_many(vmat)
+                assert batch[0].tobytes() == single[0].tobytes()
+                assert batch[1][finite].tobytes() == single[1][finite].tobytes()
+                assert target.log_target_many(vmat).tobytes() == single[0].tobytes()
+                sizes = [shape[0] for shape, _ in calls if len(shape) == 2]
+                assert sorted(sizes) == sorted(2 * blocks[workers])
+                off_main = {ident for _, ident in calls} - {threading.get_ident()}
+                assert bool(off_main) == (workers > 1)
 
     @pytest.mark.parametrize("model", ["p1", "p2"])
     @pytest.mark.parametrize(
