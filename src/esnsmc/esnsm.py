@@ -644,7 +644,7 @@ def make_esnsm_target(
                 (g_m * resid).sum(axis=1), (g_lami * resid).sum(axis=1), g_lami.sum(axis=1),
             ]
 
-        parts = [point_sums(i) for i in range(0, vmat.shape[0], rows)]
+        parts = [point_sums(i) for i in range(0, max(vmat.shape[0], 1), rows)]  # 0 rows: 1 empty block
         cen, num, sq, *point_grads = (np.concatenate(p) for p in zip(*parts))
 
         # loglik

@@ -96,21 +96,22 @@ class TargetModel:
     ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
     to the N values of the unnormalised log posterior plus the
     log-determinant of d(constrained)/d(unconstrained); it, or
-    ``log_target_tangent_batch`` where the target bounds itself (below),
-    is the only route by which the sampler evaluates the target.
+    ``log_target_screened_batch`` where the target screens (below), is the
+    only route by which the sampler evaluates the target.
     ``log_target_grad_batch``, where the target has one, returns the same
     N values (the same bytes) together with their (N, dim) gradient in the
     unconstrained coordinates; ``laplace_init`` needs it.
     ``to_constrained`` maps one unconstrained vector, or an (N, dim) matrix
     of them, to the flat constrained layout.
 
-    A target may also bound itself for the MH move's early rejection.
-    ``log_target_tangent_batch`` returns the values of ``log_target_batch``
-    (the same bytes) together with an (N, k) tangent state per row, and
-    ``log_bound_batch(vmat, states)`` returns, for each row of vmat, a value
-    never below that row's ``log_target_many``, computed from the state of
-    the particle the row was proposed from and without the per-observation
-    work of a full evaluation.  A target without them is bounded by +inf.
+    A target may also screen the MH move's proposals.
+    ``log_target_screened_batch(vmat, states, fails)`` returns the values of
+    ``log_target_batch`` (the same bytes) and an (N, k) state per row.
+    Given the states of the particles the rows were proposed from and a
+    test ``fails(rows, bound)`` (indices into vmat, and an upper bound on
+    each one's value), it may stop evaluating a row as soon as the test
+    fails on a bound; that row's value is -inf.  Every bound it passes must
+    be at least the row's ``log_target_many`` value.
     """
 
     dim: int
@@ -120,10 +121,7 @@ class TargetModel:
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
     default_start: Optional[np.ndarray] = None
-    log_target_tangent_batch: Optional[
-        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    ] = None
-    log_bound_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    log_target_screened_batch: Optional[Callable[..., tuple[np.ndarray, np.ndarray]]] = None
 
     def log_target(self, v) -> float:
         return float(self.log_target_many(np.asarray(v, dtype=float)[None])[0])
@@ -147,28 +145,21 @@ class TargetModel:
         out[~np.isfinite(out)] = -np.inf
         return out, np.asarray(grad, dtype=float)
 
-    def log_target_tangent_many(self, vmat) -> tuple[np.ndarray, np.ndarray]:
-        """Values as ``log_target_many`` gives them, and each row's tangent
-        state for ``log_bound_many``: (N, 0) for a target without a bound."""
+    def log_target_screened_many(
+        self, vmat, states=None, fails=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values as ``log_target_many`` gives them, -inf where a screening
+        target dropped the row, and each row's state for screening the
+        proposals made from it later: (N, 0) for a target that does not
+        screen, which evaluates every row in full."""
         vmat = np.atleast_2d(vmat)
-        if self.log_target_tangent_batch is None:
+        if self.log_target_screened_batch is None:
             return self.log_target_many(vmat), np.empty((vmat.shape[0], 0))
         with np.errstate(all="ignore"):
-            out, states = self.log_target_tangent_batch(vmat)
+            out, states = self.log_target_screened_batch(vmat, states, fails)
         out = np.array(out, dtype=float)
         out[~np.isfinite(out)] = -np.inf
         return out, np.asarray(states, dtype=float)
-
-    def log_bound_many(self, vmat, states) -> np.ndarray:
-        """An upper bound on ``log_target_many`` at each row of vmat, from the
-        tangent state (``log_target_tangent_many``) of the particle that row
-        was proposed from: +inf without a bound or without states, NaN where
-        the state is not usable."""
-        vmat = np.atleast_2d(vmat)
-        if self.log_bound_batch is None or states is None:
-            return np.full(vmat.shape[0], np.inf)
-        with np.errstate(all="ignore"):
-            return np.asarray(self.log_bound_batch(vmat, states), dtype=float)
 
     def _eta1(self) -> GaussianInit:
         if self.eta1 is None:
@@ -191,8 +182,8 @@ class ParticleSystem:
     """Weighted particle population in unconstrained coordinates.
 
     Each particle carries its log target ``log_pi``, its log eta1 density
-    ``log_eta`` and the target's tangent state ``tangent`` (None: not
-    known), computed once when the particle is proposed; the step
+    ``log_eta`` and the target's screening state ``tangent`` (None or NaN:
+    not known), computed once when the particle is proposed; the step
     functions read them and never evaluate the target.
     """
 
@@ -359,15 +350,15 @@ def rwmh_propagate(
     ``system.log_pi`` and ``system.log_eta``, and the accepted proposals'
     values are written back there.
 
-    Each step draws its proposals and its uniforms first, then rejects
-    early: a proposal whose bridge density, with the target's upper bound
-    (``TargetModel.log_bound_many``) in place of its value, already fails
-    the test is rejected without evaluating the target.  Because the
-    bound is never below the value and the bridge density's rounding is
-    monotone in it, such a proposal would have been rejected anyway, so
-    every decision is the one a full evaluation gives.  The other rows
-    are evaluated in one batch.  A NaN bound, a current value of -inf or
-    a target without a bound (+inf) leaves the row to be evaluated.
+    Each step draws its proposals and its uniforms first, then lets the
+    target screen them (``TargetModel.log_target_screened_many``): a
+    proposal whose bridge density, with an upper bound on its log target in
+    place of the value, already fails the test is rejected, and the target
+    evaluates it no further.  Because the bound is never below the value
+    and the bridge density's rounding is monotone in it, such a proposal
+    would have been rejected anyway, so every decision is the one a full
+    evaluation gives.  A NaN bound or a current value of -inf never fails
+    the test, and a target that does not screen evaluates every row.
     """
     eta = target._eta1()
     x = system.particles.copy()
@@ -383,22 +374,20 @@ def rwmh_propagate(
         prop = x + rng.standard_normal((n, dim)) @ chol.T
         logu = np.log(rng.uniform(size=n))
         prop_eta = eta.logpdf_batch(prop)
-        with np.errstate(invalid="ignore"):
-            ceiling = (1.0 - rho) * prop_eta + rho * target.log_bound_many(prop, tangent) - cur
-        keep = np.flatnonzero(~(logu >= ceiling))  # a NaN ceiling is kept
-        if keep.size == 0:
-            continue
-        prop_pi, prop_tangent = target.log_target_tangent_many(prop[keep])
-        cand = (1.0 - rho) * prop_eta[keep] + rho * prop_pi
-        acc = logu[keep] < cand - cur[keep]
-        moved = keep[acc]
+
+        def fails(rows, bound):
+            return logu[rows] >= (1.0 - rho) * prop_eta[rows] + rho * bound - cur[rows]
+
+        prop_pi, prop_tangent = target.log_target_screened_many(prop, tangent, fails)
+        cand = (1.0 - rho) * prop_eta + rho * prop_pi
+        moved = np.flatnonzero(logu < cand - cur)
         x[moved] = prop[moved]
-        cur[moved] = cand[acc]
+        cur[moved] = cand[moved]
         cur_eta[moved] = prop_eta[moved]
-        cur_pi[moved] = prop_pi[acc]
+        cur_pi[moved] = prop_pi[moved]
         if tangent is None:
             tangent = np.full((n, prop_tangent.shape[1]), np.nan)
-        tangent[moved] = prop_tangent[acc]
+        tangent[moved] = prop_tangent[moved]
         accepted += moved.size
     system.particles = x
     system.log_pi = cur_pi
@@ -425,7 +414,7 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
     ss = np.random.SeedSequence(config.seed)
     n = config.n_particles
     particles = eta.sample(np.random.default_rng(ss.spawn(1)[0]), n)
-    log_pi, tangent = target.log_target_tangent_many(particles)
+    log_pi, tangent = target.log_target_screened_many(particles)
     system = ParticleSystem(
         particles=particles,
         log_weights=np.full(n, -math.log(n)),
@@ -534,11 +523,13 @@ def laplace_init(
     curvature cannot see.
     """
     start = np.asarray(start, dtype=float)
-    if not math.isfinite(target.log_target_grad_many(start[None])[0][0]):
+    first = {start.tobytes(): target.log_target_grad_many(start[None])}
+    if not math.isfinite(first[start.tobytes()][0][0]):
         raise InitializationError("log posterior not finite at the starting point")
 
     def neg(v):
-        val, grad = target.log_target_grad_many(v[None])
+        # BFGS starts at the start, whose evaluation is already at hand
+        val, grad = first.pop(v.tobytes(), None) or target.log_target_grad_many(v[None])
         if not (math.isfinite(val[0]) and np.isfinite(grad).all()):
             return 1e30, np.zeros_like(v)
         return -val[0], -grad[0]

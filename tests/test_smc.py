@@ -446,66 +446,131 @@ def _iid_target(model, d, n, seed):
     return models.make_iid_esn_target(z, h1 if model == "p1" else h2, model), rng
 
 
+def _stage_bounds(target, prop, states):
+    """The screened values of ``prop`` and every bound the target passes to
+    its test, as (rows, bound) pairs, under a test that never fails."""
+    seen = []
+
+    def fails(rows, bound):
+        seen.append((rows.copy(), bound.copy()))
+        return np.zeros(rows.shape[0], dtype=bool)
+
+    return target.log_target_screened_many(prop, states, fails)[0], seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEarlyRejection:
-    """The MH move rejects a proposal without evaluating it when the
-    target's upper bound already fails the acceptance test; every decision
-    stays the one a full evaluation gives."""
+    """The MH move rejects a proposal as soon as an upper bound on its
+    target value already fails the acceptance test; the IID ESN targets
+    bound it group by group, and every decision stays the one a full
+    evaluation gives."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("model", ["p1", "p2"])
     def test_iid_bound_is_never_below_the_value(self, model, d):
-        target, rng = _iid_target(model, d, 400, 60 + d)
+        target, rng = _iid_target(model, d, 1000, 60 + d)  # 4 groups of 250
         cur = target.default_start + 0.3 * rng.normal(size=(40, target.dim))
         cur[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
         cur[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
-        values, states = target.log_target_tangent_many(cur)
+        values, states = target.log_target_screened_many(cur)
         assert values.tobytes() == target.log_target_many(cur).tobytes()
-        assert states.shape == (40, 2 * d + 3)
+        assert states.shape == (40, 4 * (2 + d) + d + 1)
         finite = np.isfinite(values)
         assert finite.sum() == 39
+        states[10] = np.nan  # an unknown state
+        finite[10] = False
         # the proposal itself, near and far proposals, proposals in the tails
         # from ordinary particles, and ones whose scale underflows
         for step in (0.0, 1e-9, 1e-4, 0.05, 0.5, 3.0):
             prop = cur + step * rng.normal(size=cur.shape)
             prop[5:9, -1] = [40.0, -40.0, 25.0, -25.0]
             prop[9, d] = -800.0
-            bound = target.log_bound_many(prop, states)
             value = target.log_target_many(prop)
-            assert not np.any(bound < value), (step, np.flatnonzero(bound < value))
-            assert np.isneginf(value[9]) and not bound[9] > -np.inf  # rejected unevaluated
+            screened, seen = _stage_bounds(target, prop, states)
+            assert screened.tobytes() == value.tobytes()
+            assert len(seen) == 4  # before each group
+            for rows, bound in seen:
+                assert rows.tolist() == list(range(40))
+                assert not np.any(bound < value), (step, np.flatnonzero(bound < value))
+                assert np.isnan(bound[10])
+            first, last = seen[0][1], seen[-1][1]
+            assert np.isneginf(value[9]) and not first[9] > -np.inf  # dropped before any group
             usable = finite & np.isfinite(value)
-            assert np.isfinite(bound[usable]).all()
+            assert np.isfinite(first[usable]).all()
+            # groups summed exactly tighten the bound
+            assert np.all(last[usable] <= first[usable] + 1e-9 * (1.0 + np.abs(value[usable])))
             if step == 0.0:  # a tangent plane touches at its own particle
                 usable[5:9] = False
-                gap = bound[usable] - value[usable]
+                gap = first[usable] - value[usable]
                 assert np.all(gap < 1e-3 * (1.0 + np.abs(value[usable])))
 
     @pytest.mark.parametrize("model, d, seed", [("p1", 1, 0), ("p1", 1, 1), ("p2", 1, 2),
                                                 ("p1", 2, 3), ("p2", 3, 4)])
-    def test_run_gives_the_bytes_of_the_unscreened_target(self, model, d, seed):
-        target, _ = _iid_target(model, d, 300, 70 + seed)
+    def test_run_gives_the_bytes_of_the_unscreened_target(self, model, d, seed, monkeypatch):
+        n = 750  # 3 groups of 250
+        target, _ = _iid_target(model, d, n, 70 + seed)
         config = smc.SmcConfig(n_particles=400, seed=seed)
         target.eta1 = smc.initial_distribution(target, config)
-        plain = dataclasses.replace(target, log_target_tangent_batch=None, log_bound_batch=None)
-        rows = {"screened": 0, "plain": 0}
+        plain = dataclasses.replace(target, log_target_screened_batch=None)
 
-        def counted(key, evaluate):
-            def spy(vmat):
-                rows[key] += vmat.shape[0]
-                return evaluate(vmat)
-            return spy
+        def first_bound_only(vmat, states, fails):
+            # the test acts on the bound before the first group only
+            tested = []
 
-        target.log_target_tangent_batch = counted("screened", target.log_target_tangent_batch)
-        plain.log_target_batch = counted("plain", plain.log_target_batch)
-        screened, full = smc.run(target, config), smc.run(plain, config)
-        assert screened.system.particles.tobytes() == full.system.particles.tobytes()
-        assert screened.system.log_pi.tobytes() == full.system.log_pi.tobytes()
-        assert screened.log_evidence == full.log_evidence
-        assert ([r.acceptance_rate for r in screened.diagnostics]
-                == [r.acceptance_rate for r in full.diagnostics])
+            def once(rows, bound):
+                tested.append(rows.size)
+                return fails(rows, bound) if len(tested) == 1 else np.zeros(rows.size, bool)
+
+            return target.log_target_screened_batch(vmat, states, fails and once)
+
+        one_bound = dataclasses.replace(target, log_target_screened_batch=first_bound_only)
+        points = []
+        group_sums = models._group_sums
+
+        def spy(z, ab):
+            points.append(ab.shape[0] * z.shape[0])
+            return group_sums(z, ab)
+
+        monkeypatch.setattr(models, "_group_sums", spy)
+        screened = smc.run(target, config)
+        staged = sum(points)
+        points.clear()
+        once = smc.run(one_bound, config)
+        full = smc.run(plain, config)
+        for other in (once, full):
+            assert screened.system.particles.tobytes() == other.system.particles.tobytes()
+            assert screened.system.log_pi.tobytes() == other.system.log_pi.tobytes()
+            assert screened.log_evidence == other.log_evidence
+            assert ([r.acceptance_rate for r in screened.diagnostics]
+                    == [r.acceptance_rate for r in other.diagnostics])
+        assert screened.system.tangent.shape == (400, 3 * (2 + d) + d + 1)
         assert full.system.tangent.shape == (400, 0)
-        assert rows["plain"] == 400 * (1 + full.n_stages * config.mh_steps)
-        assert rows["screened"] < 0.9 * rows["plain"]
+        # the unscreened copy evaluates every row of every step in full; one
+        # bound before the first group screens some rows, and staged bounds more
+        every = 400 * n * (1 + full.n_stages * config.mh_steps)
+        assert sum(points) < 0.9 * every
+        assert staged < 0.9 * sum(points)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    def test_group_sums_give_the_value_bytes_on_any_partition(self, model, d, monkeypatch):
+        target, rng = _iid_target(model, d, 1000, 90 + d)
+        vmat = target.default_start + 0.3 * rng.normal(size=(301, target.dim))
+        vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]
+        vmat[4, d] = -800.0
+        single = np.concatenate([target.log_target_many(v[None]) for v in vmat])
+        _, states = target.log_target_screened_many(vmat)
+        prop = vmat + 0.05 * rng.normal(size=vmat.shape)
+        prop_single = np.concatenate([target.log_target_many(v[None]) for v in prop])
+        for workers, block_points in ((1, 2**18), (2, 2**18), (2, 3000), (1, 3000)):
+            monkeypatch.setattr(models, "_workers", lambda: workers)
+            monkeypatch.setattr(models, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(models, "_POOL_POINTS", min(2**16, block_points))
+            values, again = target.log_target_screened_many(vmat)
+            assert values.tobytes() == single.tobytes()
+            assert again.tobytes() == states.tobytes()
+            assert target.log_target_many(vmat).tobytes() == single.tobytes()
+            assert _stage_bounds(target, prop, states)[0].tobytes() == prop_single.tobytes()
 
     def test_nan_state_or_infinite_current_value_is_evaluated(self):
         # a bound of -inf rejects every row it can: only the row whose state
@@ -514,13 +579,16 @@ class TestEarlyRejection:
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         evaluated = []
 
-        def tangent_batch(vmat):
-            evaluated.extend(vmat[:, 0])
-            return target.log_target_batch(vmat), np.zeros((vmat.shape[0], 1))
+        def screened_batch(vmat, states, fails):
+            rows = np.arange(vmat.shape[0])
+            if states is not None and fails is not None:
+                rows = rows[~fails(rows, np.where(np.isnan(states[rows, 0]), np.nan, -np.inf))]
+            evaluated.extend(vmat[rows, 0])
+            out = np.full(vmat.shape[0], -np.inf)
+            out[rows] = target.log_target_batch(vmat[rows])
+            return out, np.zeros((vmat.shape[0], 1))
 
-        target.log_target_tangent_batch = tangent_batch
-        target.log_bound_batch = lambda vmat, states: np.where(np.isnan(states[:, 0]),
-                                                                np.nan, -np.inf)
+        target.log_target_screened_batch = screened_batch
         x = np.arange(6.0)[:, None]
         sys = make_system(target, np.full(6, -math.log(6)), x, rho=0.5)
         sys.tangent = np.zeros((6, 1))
@@ -539,9 +607,9 @@ class TestEarlyRejection:
         assert evaluated == [] and sys.last_acceptance == 0.0
 
     def test_system_without_states_is_evaluated_in_full(self):
-        # a system built without tangent states takes them from the rows
-        # that move; the rest stay unknown (NaN) and are evaluated next time
-        target, rng = _iid_target("p1", 1, 300, 80)
+        # a system built without states takes them from the rows that move;
+        # the rest stay unknown (NaN) and are evaluated next time
+        target, rng = _iid_target("p1", 1, 600, 80)
         target.eta1 = smc.GaussianInit(target.default_start, 0.01 * np.eye(target.dim))
         x = target.eta1.sample(rng, 200)
         sys = make_system(target, np.full(200, -math.log(200)), x, rho=1.0)
@@ -550,7 +618,7 @@ class TestEarlyRejection:
         smc.rwmh_propagate(sys, target, 1.0, 0.01 * np.eye(target.dim), cfg, rng)
         moved = ~np.isnan(sys.tangent[:, 0])
         assert 0 < moved.sum() < 200
-        values, states = target.log_target_tangent_many(sys.particles[moved])
+        values, states = target.log_target_screened_many(sys.particles[moved])
         assert states.tobytes() == sys.tangent[moved].tobytes()
         assert values.tobytes() == sys.log_pi[moved].tobytes()
 
@@ -710,10 +778,11 @@ class TestLaplaceInit:
         target.log_target_batch, target.log_target_grad_batch = batch, grad_batch
         res, _ = self._scalar_reference(target, target.default_start, 1.0)
         # one-row value and gradient calls for the start check and for BFGS,
-        # and the 2 dim points of the gradient stencil as the last batch
+        # whose first call reuses the start check's, and the 2 dim points of
+        # the gradient stencil as the last batch
         assert rows == []
         assert grad_rows[-1] == 2 * dim
-        assert grad_rows[:-1] == [1] * (res.nfev + 1)
+        assert grad_rows[:-1] == [1] * res.nfev
         assert res.nfev == res.njev
 
 
@@ -1004,6 +1073,28 @@ class TestBatchConsistency:
         values = target.log_target_many(vmat)
         assert values.tobytes() == target.log_target_grad_many(vmat)[0].tobytes()
         assert values.tobytes() == target.log_target_batch(vmat).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["p1", "p2", "gaussian", "esnsm", "tobit2"])
+    def test_empty_batch_through_every_entry_point(self, model):
+        if model in ("esnsm", "tobit2"):
+            target = self._esnsm_case(model == "tobit2")[0]
+        else:
+            z = np.random.default_rng(6).normal(size=(600, 2))
+            h1, h2 = priors.default_hyper(2)
+            target = (models.make_gaussian_target(z, h1) if model == "gaussian"
+                      else models.make_iid_esn_target(z, h1 if model == "p1" else h2, model))
+        empty = np.empty((0, target.dim))
+        _, states = target.log_target_screened_many(target.default_start[None])
+        k = states.shape[1]
+        assert target.log_target_many(empty).shape == (0,)
+        value, grad = target.log_target_grad_many(empty)
+        assert value.shape == (0,) and grad.shape == (0, target.dim)
+        assert target.to_constrained(empty).shape == (0, target.dim)
+        never = lambda rows, bound: np.zeros(rows.size, bool)  # noqa: E731
+        for given in ((), (np.empty((0, k)), never)):
+            value, states = target.log_target_screened_many(empty, *given)
+            assert value.shape == (0,) and states.shape == (0, k)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
