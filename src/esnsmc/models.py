@@ -9,28 +9,28 @@ matrices, in any dimension; asked for it, the evaluator also returns the
 gradient in the unconstrained coordinates from the same intermediates.
 Scale gradients are carried as a symmetric G with d f = tr(G dSigma) and
 mapped to the log-Cholesky parameters once, by ``_Packing.gradient``.
-The Gaussian part of each likelihood works
-from the data's centred sufficient statistics, so the only
-particle-by-observation work is the skewing term of the ESN models.
-Sums over parameter indices are elementwise products added in index
-order or two-operand einsums, never BLAS products or three-operand
-einsums, so a particle gets the same bytes wherever it sits in a batch.
-The ESN targets therefore split a batch into row blocks of at most 2^18
-observation-points, as many as a multiple of the worker count, and map
-them over one thread pool, a worker per core in the process's CPU
-affinity, with no setting for it: the bytes depend neither on the
-partition nor on the worker count.
+The Gaussian part of each likelihood works from the data's centred
+sufficient statistics, so the only particle-by-observation work is the
+skewing term of the ESN models, all of it in ``_group_sums``.  Sums over
+parameter indices are elementwise products added in index order or
+two-operand einsums, never BLAS products or three-operand einsums, so a
+particle gets the same bytes wherever it sits in a batch.
 
 The ESN skew sum, sum_i log Phi(alpha' z_i + shift), is one fixed sum of
 observation groups: with n of at least 2 * ``_GROUP_POINTS`` the
 observations are sorted ascending in alpha_1 z_i1 at the default start,
 so the points where log Phi bends most come first, and cut into
-contiguous groups of at least ``_GROUP_POINTS``; each group is summed on
-its own and the group sums are added in group order, on the value,
-gradient and screened paths alike, so all three give one set of bytes.
-The screened path (``_esn_screened``) takes the groups one at a time and
-drops a proposal as soon as an upper bound on its value, from the groups
-done so far and the tangent planes of the rest, fails the MH move's test.
+contiguous groups of at least ``_GROUP_POINTS``.  One evaluator
+(``_esn_target``) serves the value, gradient and screened paths alike: it
+makes one pass per group, which returns the group's sum and that sum's
+gradient in (shift, alpha), and adds the groups in group order.  Each pass
+splits its rows into blocks of at most 2^18 observation-points, as many as
+a multiple of the worker count, and maps them over one thread pool, a
+worker per core in the process's CPU affinity, with no setting for it:
+the bytes depend neither on the partition nor on the worker count.  Given
+the MH move's test, the evaluator drops a proposal as soon as an upper
+bound on its value, from the groups done so far and the tangent planes of
+the rest, fails it.
 """
 
 from __future__ import annotations
@@ -57,13 +57,16 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# observation-points per row block of an IID ESN batch (_in_row_blocks): 2 MiB
-# per particle-by-observation array.  Measured, not derived: on a 2-vCPU x86
-# machine one (2000 x 1000) batch took 40-45 ms in pooled blocks of 2^18
-# points, 43-45 ms in blocks of 2^17 or 2^19, 47-49 ms in blocks of 2^16 and
-# 70-79 ms on one thread (medians of 40 interleaved calls, two runs)
+# observation-points per row block of a group's pass (_in_row_blocks).
+# Measured, not derived: chosen when a batch took one pass over all n points,
+# where on a 2-vCPU x86 machine a (2000 x 1000) pass took 40-45 ms in pooled
+# blocks of 2^18 points, 43-49 ms in blocks of 2^16, 2^17 or 2^19 and 70-79 ms
+# on one thread.  On the same machine a (2000 x 250) group pass took 11.3-12.3
+# ms in blocks of 2^18, 11.0-14.5 ms in blocks of 2^16 or 2^17, 11.3-12.6 ms
+# in blocks of 2^19 and 18.6-23.8 ms on one thread (medians of 40 interleaved
+# calls, two runs each)
 _BLOCK_POINTS = 2**18
-# a batch of fewer observation-points is one block on the calling thread
+# a pass of fewer observation-points is one block on the calling thread
 _POOL_POINTS = 2**16
 # observation-points per chunk of a group's pass (_group_sums): 256 KiB per
 # array, a cache-sized slice of a block
@@ -277,36 +280,29 @@ def _gauss_loglik(st, xi, prec, logdet, grad=False):
     return value, (st.n * pe, 0.5 * (_sandwich(prec, st.scatter) + st.n * (_outer(pe, pe) - prec)))
 
 
-def _skew_arg(z, alpha, shift):
-    """alpha' z_i + shift for every particle and observation: the one
-    particle-by-observation array, summed column by column."""
-    arg = alpha[:, :1] * z[:, 0]
-    for j in range(1, z.shape[1]):
-        arg += alpha[:, j : j + 1] * z[:, j]
-    arg += shift[:, None]
-    return arg
-
-
-def _skew_sum(log_phi, edges):
-    """The skew sum of each row of log Phi(arg): every group summed on its
-    own, the group sums added in group order."""
-    total = log_phi[:, edges[0] : edges[1]].sum(axis=1)
-    for lo, hi in zip(edges[1:-1], edges[2:]):
-        total += log_phi[:, lo:hi].sum(axis=1)
-    return total
-
-
 def _group_sums(z, ab):
     """For each row [alpha, shift] of ``ab``, one group's skew sum S =
-    sum_i log Phi(arg_i), arg_i = alpha' z_i + shift (the bytes of the value
-    pass), and M_0 = sum_i m_i, M_1..M_d = sum_i m_i z_ij, with m_i =
-    phi(arg_i) / Phi(arg_i) = exp(log phi - log Phi): S's gradient in
-    (shift, alpha).  Runs in chunks of rows, so no array is larger than a
-    chunk."""
+    sum_i log Phi(arg_i), arg_i = alpha' z_i + shift, and M_0 = sum_i m_i,
+    M_1..M_d = sum_i m_i z_ij, with m_i = phi(arg_i) / Phi(arg_i) =
+    exp(log phi - log Phi): S's gradient in (shift, alpha).  Runs in chunks
+    of rows, so no array is larger than a chunk.
+
+    m_i is not taken from ``normals.mills_ratio_inv`` (erfcx): on a 2-vCPU
+    x86 machine and a (128, 250) array, log Phi and m cost 51-58 ns per
+    point this way and 91-98 ns with erfcx.  The exponent's rounding error
+    grows with |log Phi|, so m_i's relative error is about 2e-13 at
+    arg = -100, 6e-9 at -1e4 and 1e-4 at -1e6, and m_i becomes inf near
+    -5e9; ``smc.laplace_init`` treats a non-finite gradient as a failed
+    point."""
     rows = max(1, _CHUNK_POINTS // z.shape[0])
     sums = np.empty((ab.shape[0], 2 + z.shape[1]))
     for i in range(0, ab.shape[0], rows):
-        arg = _skew_arg(z, ab[i : i + rows, :-1], ab[i : i + rows, -1])
+        # the one particle-by-observation array, summed column by column
+        alpha = ab[i : i + rows, :-1]
+        arg = alpha[:, :1] * z[:, 0]
+        for j in range(1, z.shape[1]):
+            arg += alpha[:, j : j + 1] * z[:, j]
+        arg += ab[i : i + rows, -1, None]
         log_phi = log_ndtr(arg)
         out = sums[i : i + rows]
         out[:, 0] = log_phi.sum(axis=1)
@@ -321,38 +317,14 @@ def _group_sums(z, ab):
     return sums
 
 
-def _esn_loglik(st, xi, prec, logdet, alpha, lam, c0sq, grad=False):
-    """IID ESN log-likelihood per particle under the hidden-truncation form
-    (precision and log-determinant of the scale, shape, shift, c0^2).  Its
-    gradient parts are those in (xi, Sigma, alpha, lam), with c0^2 held
-    fixed, and the one in c0^2."""
-    shift = lam - np.einsum("nj,nj->n", alpha, xi)
-    arg = _skew_arg(st.z, alpha, shift)
-    mills = mills_ratio_inv(arg) if grad else None  # d log Phi(arg) / d arg
-    skew = _skew_sum(log_ndtr(arg, out=arg), st.edges)
-    c0 = np.sqrt(c0sq)
-    gauss, parts = _gauss_loglik(st, xi, prec, logdet, grad)
-    value = gauss + skew - st.n * log_ndtr(lam / c0)
-    if not grad:
-        return value, None
-    g_xi, g_scale = parts
-    total = mills.sum(axis=1)
-    g_alpha = np.stack([(mills * st.z[:, j]).sum(axis=1) for j in range(st.d)], axis=1)
-    m0 = st.n * mills_ratio_inv(lam / c0)
-    return value, (
-        g_xi - alpha * total[:, None],
-        g_scale,
-        g_alpha - xi * total[:, None],
-        total - m0 / c0,
-        0.5 * m0 * lam / (c0 * c0sq),
-    )
-
-
-def _esn_screened(st, args, lp, log_jac, passes, states=None, fails=None):
+def _esn_target(st, args, lp, log_jac, passes, grad=False, states=None, fails=None):
     """The IID ESN log target at particles (``args``, ``lp`` and ``log_jac``
-    as the evaluator forms them), its skew sum taken one group at a time
-    (``passes``: ``_group_sums`` over row blocks, one per group), and each
-    row's state [S_g, M_0g, M_g for every group g, alpha, shift].
+    as ``terms`` forms them), its skew sum taken one group at a time
+    (``passes``: ``_group_sums`` over row blocks, one per group), and either
+    each row's state [S_g, M_0g, M_g for every group g, alpha, shift] or,
+    with ``grad``, the likelihood's gradient parts: those in (xi, Sigma,
+    alpha, lam), with c0^2 held fixed, and the one in c0^2.  The skew sum's
+    gradient in (shift, alpha) is sum_g (M_0g, M_g), added in group order.
 
     Given the ``states`` of the particles the rows were proposed from and a
     test ``fails(rows, bound)``, a row is dropped, its value -inf, as soon
@@ -371,12 +343,13 @@ def _esn_screened(st, args, lp, log_jac, passes, states=None, fails=None):
     |log Phi| <= |S|.  A NaN state gives a NaN bound, which never fails."""
     xi, prec, logdet, alpha, lam, c0sq = args
     n_rows, d, groups = lam.shape[0], st.d, len(passes)
-    gauss = _gauss_loglik(st, xi, prec, logdet)[0]
-    tail = st.n * log_ndtr(lam / np.sqrt(c0sq))
+    gauss, parts = _gauss_loglik(st, xi, prec, logdet, grad)
+    c0 = np.sqrt(c0sq)
+    tail = st.n * log_ndtr(lam / c0)
     shift = lam - np.einsum("nj,nj->n", alpha, xi)
     ab = np.column_stack([alpha, shift])
     sums = np.full((n_rows, groups, 2 + d), np.nan)
-    skew = np.zeros(n_rows)
+    acc = np.zeros((n_rows, 2 + d))  # S, M_0 and M over the groups summed so far
     rows = np.arange(n_rows)
     screen = states is not None and fails is not None
     if screen:
@@ -392,16 +365,28 @@ def _esn_screened(st, args, lp, log_jac, passes, states=None, fails=None):
     for g, group_sums in enumerate(passes):
         if screen:
             ahead = planes[rows, g:]
+            skew = acc[rows, 0]
             margin = fixed[rows] + (1.0 + reach[rows]) * (
-                curve[rows] + np.abs(skew[rows]) + np.abs(ahead).sum(axis=1))
-            bound = rest[rows] + skew[rows] + ahead.sum(axis=1) + 2.0**-40 * (1.0 + margin)
+                curve[rows] + np.abs(skew) + np.abs(ahead).sum(axis=1))
+            bound = rest[rows] + skew + ahead.sum(axis=1) + 2.0**-40 * (1.0 + margin)
             rows = rows[~fails(rows, bound)]
         part = group_sums(ab[rows])
         sums[rows, g] = part
-        skew[rows] = part[:, 0] if g == 0 else skew[rows] + part[:, 0]
+        acc[rows] = part if g == 0 else acc[rows] + part
     value = np.full(n_rows, -np.inf)
-    value[rows] = gauss[rows] + skew[rows] - tail[rows] + lp[rows] + log_jac[rows]
-    return value, np.concatenate([sums.reshape(n_rows, groups * (2 + d)), ab], axis=1)
+    value[rows] = gauss[rows] + acc[rows, 0] - tail[rows] + lp[rows] + log_jac[rows]
+    if not grad:
+        return value, np.concatenate([sums.reshape(n_rows, groups * (2 + d)), ab], axis=1)
+    g_xi, g_scale = parts
+    total, g_alpha = acc[:, 1], acc[:, 2:]
+    m0 = st.n * mills_ratio_inv(lam / c0)
+    return value, (
+        g_xi - alpha * total[:, None],
+        g_scale,
+        g_alpha - xi * total[:, None],
+        total - m0 / c0,
+        0.5 * m0 * lam / (c0 * c0sq),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -420,35 +405,33 @@ def _pool():
     return ThreadPoolExecutor(_workers(), thread_name_prefix="esnsmc")
 
 
-def _in_row_blocks(block, n):
-    """``block(vmat, **kw)`` over row blocks (``n`` observations per row),
-    mapped over a thread pool when the process has more than one core.  A
-    batch of at least 2^16 observation-points is cut into the fewest blocks
-    of at most 2^18 points whose count is a multiple of the worker count,
-    with the rows spread evenly (block sizes differ by at most one), so
-    every core gets the same share; a smaller batch, or one that makes a
-    single block, runs whole on the calling thread.  The skewing term's
-    ``log_ndtr`` pass releases the GIL, so blocks run on all cores.  A row
-    gets the same bytes in any block, so the result depends neither on the
-    partition nor on the worker count."""
+def _in_row_blocks(z):
+    """``_group_sums(z, ab)`` over row blocks of ``ab``, mapped over a thread
+    pool when the process has more than one core.  A pass of at least 2^16
+    observation-points is cut into the fewest blocks of at most 2^18 points
+    whose count is a multiple of the worker count, with the rows spread
+    evenly (block sizes differ by at most one), so every core gets the same
+    share; a smaller pass, or one that makes a single block, runs whole on
+    the calling thread.  ``log_ndtr`` and ``exp`` release the GIL, so blocks
+    run on all cores.  A row gets the same bytes in any block, so the result
+    depends neither on the partition nor on the worker count."""
+    n = z.shape[0]
 
-    def evaluate(vmat, **kw):
-        rows = vmat.shape[0]
+    def evaluate(ab):
+        rows = ab.shape[0]
         workers = _workers()
         count = min(rows, workers * -(-rows * n // (workers * _BLOCK_POINTS)))
         if rows * n < _POOL_POINTS or count < 2:
-            return block(vmat, **kw)
+            return _group_sums(z, ab)
         edges = [rows * i // count for i in range(count + 1)]
         err = np.geterr()  # error state is per thread, and pool threads start at the default
 
         def run(lo, hi):
             with np.errstate(**err):
-                return block(vmat[lo:hi], **kw)
+                return _group_sums(z, ab[lo:hi])
 
-        parts = list((_pool().map if workers > 1 else map)(run, edges[:-1], edges[1:]))
-        if not isinstance(parts[0], tuple):
-            return np.concatenate(parts)
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        parts = (_pool().map if workers > 1 else map)(run, edges[:-1], edges[1:])
+        return np.concatenate(list(parts))
 
     return evaluate
 
@@ -456,7 +439,8 @@ def _in_row_blocks(block, n):
 def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel:
     """Posterior target for IID extended skew-normal data under either
     parametrisation, with its §-default prior block attached by the caller.
-    It screens the MH move's proposals group by group (``_esn_screened``)."""
+    Its value, gradient and screened paths are one evaluator (``_esn_target``),
+    which screens the MH move's proposals group by group."""
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
@@ -543,15 +527,10 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
-    def block(vmat, grad=False):
+    def evaluate(vmat, states=None, fails=None, grad=False):
         args, lp, log_jac, chain = terms(vmat, grad)
-        ll, lik = _esn_loglik(st, *args, grad=grad)
-        value = ll + lp + log_jac
-        return (value, chain(lik)) if grad else value
-
-    def screened(vmat, states=None, fails=None):
-        args, lp, log_jac, _ = terms(vmat, False)
-        return _esn_screened(st, args, lp, log_jac, passes, states, fails)
+        value, out = _esn_target(st, args, lp, log_jac, passes, grad, states, fails)
+        return value, (chain(out) if grad else out)
 
     mean = st.mean
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[z.var()]])
@@ -569,18 +548,15 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     # the first column's skew term at the start: on the d = 2 benchmark fit
     # it left 5-9 % fewer points to evaluate than the start's whole alpha' z_i
     st.group(z[:, 0] * terms(start[None], False)[0][3][0, 0])
-    passes = [_in_row_blocks(lambda ab, zg=st.z[lo:hi]: _group_sums(zg, ab), hi - lo)
-              for lo, hi in zip(st.edges, st.edges[1:])]
-
-    evaluate = _in_row_blocks(block, st.n)
+    passes = [_in_row_blocks(st.z[lo:hi]) for lo, hi in zip(st.edges, st.edges[1:])]
     return TargetModel(
         dim=pack.dim,
-        log_target_batch=evaluate,
+        log_target_batch=lambda vmat: evaluate(vmat)[0],
         log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
         to_constrained=pack.to_constrained,
         param_names=names,
         default_start=start,
-        log_target_screened_batch=screened,
+        log_target_screened_batch=evaluate,
     )
 
 

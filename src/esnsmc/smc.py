@@ -89,6 +89,18 @@ class GaussianInit:
         return self.mean + z @ self._chol.T
 
 
+def _finite_or_neginf(batch, vmat, *args):
+    """``batch(vmat, *args)`` with floating-point errors ignored, its values
+    (the whole result, or its first item when it is a tuple) as a float
+    array with every non-finite value mapped to -inf."""
+    with np.errstate(all="ignore"):
+        result = batch(vmat, *args)
+    values, *rest = result if isinstance(result, tuple) else (result,)
+    values = np.array(values, dtype=float)
+    values[~np.isfinite(values)] = -np.inf
+    return (values, *rest) if rest else values
+
+
 @dataclass
 class TargetModel:
     """Posterior target seen by the sampler.
@@ -127,22 +139,14 @@ class TargetModel:
         return float(self.log_target_many(np.asarray(v, dtype=float)[None])[0])
 
     def log_target_many(self, vmat) -> np.ndarray:
-        vmat = np.atleast_2d(vmat)
-        with np.errstate(all="ignore"):
-            out = np.array(self.log_target_batch(vmat), dtype=float)
-        out[~np.isfinite(out)] = -np.inf
-        return out
+        return _finite_or_neginf(self.log_target_batch, np.atleast_2d(vmat))
 
     def log_target_grad_many(self, vmat) -> tuple[np.ndarray, np.ndarray]:
         """Values as ``log_target_many`` gives them, and their gradients; a
         row whose value is not finite has an undefined gradient."""
         if self.log_target_grad_batch is None:
             raise InitializationError("target has no gradient")
-        vmat = np.atleast_2d(vmat)
-        with np.errstate(all="ignore"):
-            out, grad = self.log_target_grad_batch(vmat)
-        out = np.array(out, dtype=float)
-        out[~np.isfinite(out)] = -np.inf
+        out, grad = _finite_or_neginf(self.log_target_grad_batch, np.atleast_2d(vmat))
         return out, np.asarray(grad, dtype=float)
 
     def log_target_screened_many(
@@ -155,10 +159,7 @@ class TargetModel:
         vmat = np.atleast_2d(vmat)
         if self.log_target_screened_batch is None:
             return self.log_target_many(vmat), np.empty((vmat.shape[0], 0))
-        with np.errstate(all="ignore"):
-            out, states = self.log_target_screened_batch(vmat, states, fails)
-        out = np.array(out, dtype=float)
-        out[~np.isfinite(out)] = -np.inf
+        out, states = _finite_or_neginf(self.log_target_screened_batch, vmat, states, fails)
         return out, np.asarray(states, dtype=float)
 
     def _eta1(self) -> GaussianInit:

@@ -4,7 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy.optimize import minimize
 
 from esnsmc import esn, esnsm, model_select, models, normals, priors, smc
@@ -536,6 +535,8 @@ class TestEarlyRejection:
         staged = sum(points)
         points.clear()
         once = smc.run(one_bound, config)
+        one_bound_points = sum(points)
+        points.clear()
         full = smc.run(plain, config)
         for other in (once, full):
             assert screened.system.particles.tobytes() == other.system.particles.tobytes()
@@ -548,8 +549,9 @@ class TestEarlyRejection:
         # the unscreened copy evaluates every row of every step in full; one
         # bound before the first group screens some rows, and staged bounds more
         every = 400 * n * (1 + full.n_stages * config.mh_steps)
-        assert sum(points) < 0.9 * every
-        assert staged < 0.9 * sum(points)
+        assert sum(points) == every
+        assert one_bound_points < 0.9 * every
+        assert staged < 0.9 * one_bound_points
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("model", ["p1", "p2"])
@@ -938,11 +940,11 @@ class TestBatchConsistency:
                 self._check(*self._iid_case(model, d))
 
     @staticmethod
-    def _iid_case(model, d):
+    def _iid_case(model, d, n=200):
         rng = np.random.default_rng(30 + d)
         z = esn.sample(
             esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
-            200, rng,
+            n, rng,
         )
         h1, h2 = priors.default_hyper(d)
         if model == "gaussian":
@@ -1116,43 +1118,46 @@ class TestBatchConsistency:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("model", ["p1", "p2"])
     def test_iid_row_blocks_give_one_row_bytes_on_any_worker_count(self, model, d, monkeypatch):
-        # A batch of at least 2^16 points is cut into the fewest blocks of at
-        # most 2^18 points whose count is a multiple of the worker count, rows
-        # spread evenly.  Three batches, block sizes by worker count:
+        # Each group's pass of at least 2^16 points is cut into the fewest
+        # blocks of at most 2^18 points whose count is a multiple of the
+        # worker count, rows spread evenly.  On n = 1000, four groups of 250
+        # observations, three batches, block sizes per pass by worker count:
         cases = [
-            # 21 rows of 30000 points: 630000 points
-            (30000, 21, {2: [5, 5, 5, 6], 1: [7, 7, 7]}),
-            # 66000 points, just above 2^16, which used to be one block
-            (1000, 66, {2: [33, 33], 1: [66]}),
+            # 525000 points per pass: three blocks on one worker, four on two
+            (2100, {2: [525, 525, 525, 525], 1: [700, 700, 700]}),
+            # 66000 points per pass, just above 2^16
+            (264, {2: [132, 132], 1: [264]}),
             # an odd, survivor-sized subset of a 2000-row batch
-            (1000, 1101, {2: [183, 183, 183, 184, 184, 184], 1: [220, 220, 220, 220, 221]}),
+            (1101, {2: [550, 551], 1: [550, 551]}),
         ]
         # two workers force the thread pool even on a one-core machine, and
-        # the errors that rows 0-5 raise must stay silent on its threads as
-        # on the calling one
+        # the errors that rows 0-6 raise must stay silent on its threads as
+        # on the calling one: row 6's skew arguments overflow when squared
         calls = []
+        group_sums = models._group_sums
 
-        def log_ndtr(x, **kwargs):
-            calls.append((x.shape, threading.get_ident()))
-            return special.log_ndtr(x, **kwargs)
+        def spy(z, ab):
+            calls.append((z.shape[0], ab.shape[0], threading.get_ident()))
+            return group_sums(z, ab)
 
-        monkeypatch.setattr(models, "log_ndtr", log_ndtr)
-        for n, rows, blocks in cases:
-            rng = np.random.default_rng(40 + d)
-            z = esn.sample(
-                esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
-                n, rng,
-            )
-            h1, h2 = priors.default_hyper(d)
-            target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
+        monkeypatch.setattr(models, "_group_sums", spy)
+        rng = np.random.default_rng(40 + d)
+        z = esn.sample(
+            esn.EsnParamsP1(np.full(d, 2.0), 6.0 * np.eye(d) + 1.0, np.full(d, 5.0), -2.0),
+            1000, rng,
+        )
+        h1, h2 = priors.default_hyper(d)
+        target = models.make_iid_esn_target(z, h1 if model == "p1" else h2, model)
+        for rows, blocks in cases:
             vmat = target.default_start + 0.3 * rng.normal(size=(rows, target.dim))
             vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
             vmat[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
             vmat[5, 0] = np.nan
+            vmat[6, -1] = 1e300
             single = [target.log_target_grad_many(v[None]) for v in vmat]
             single = tuple(np.concatenate(p) for p in zip(*single))
             finite = np.isfinite(single[0])
-            assert finite.sum() == rows - 2 and np.isneginf(single[0][4:6]).all()
+            assert finite.sum() == rows - 3 and np.isneginf(single[0][4:7]).all()
             for workers in (2, 1):
                 monkeypatch.setattr(models, "_workers", lambda: workers)
                 calls.clear()
@@ -1160,9 +1165,10 @@ class TestBatchConsistency:
                 assert batch[0].tobytes() == single[0].tobytes()
                 assert batch[1][finite].tobytes() == single[1][finite].tobytes()
                 assert target.log_target_many(vmat).tobytes() == single[0].tobytes()
-                sizes = [shape[0] for shape, _ in calls if len(shape) == 2]
-                assert sorted(sizes) == sorted(2 * blocks[workers])
-                off_main = {ident for _, ident in calls} - {threading.get_ident()}
+                # one pass per group, for the gradient and again for the value
+                assert {n for n, _, _ in calls} == {250}
+                assert sorted(size for _, size, _ in calls) == sorted(8 * blocks[workers])
+                off_main = {ident for _, _, ident in calls} - {threading.get_ident()}
                 assert bool(off_main) == (workers > 1)
 
     @pytest.mark.parametrize("model", ["p1", "p2"])
@@ -1258,9 +1264,11 @@ class TestBatchConsistency:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("model", ["p1", "p2", "gaussian"])
     def test_iid_gradient_matches_central_differences(self, model, d):
-        # the ESN cases' first rows put the shift deep in both tails
-        target, _, vmat = self._iid_case(model, d)
-        self._assert_gradient_matches_differences(target, vmat)
+        # the ESN cases' first rows put the shift deep in both tails; on
+        # n = 750 their skew sum is three groups
+        for n in (200,) if model == "gaussian" else (200, 750):
+            target, _, vmat = self._iid_case(model, d, n)
+            self._assert_gradient_matches_differences(target, vmat)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gaussian_errors", [False, True])
