@@ -40,7 +40,7 @@ import os
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from . import priors
 from .errors import DataError
@@ -58,26 +58,44 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # observation-points per row block of a group's pass (_in_row_blocks).
-# Measured, not derived: chosen when a batch took one pass over all n points,
-# where on a 2-vCPU x86 machine a (2000 x 1000) pass took 40-45 ms in pooled
-# blocks of 2^18 points, 43-49 ms in blocks of 2^16, 2^17 or 2^19 and 70-79 ms
-# on one thread.  On the same machine a (2000 x 250) group pass took 11.3-12.3
-# ms in blocks of 2^18, 11.0-14.5 ms in blocks of 2^16 or 2^17, 11.3-12.6 ms
-# in blocks of 2^19 and 18.6-23.8 ms on one thread (medians of 40 interleaved
-# calls, two runs each)
+# Measured, not derived: chosen when a batch took one pass over all n points
+# (a (2000 x 1000) pass took 40-45 ms in pooled blocks of 2^18 points and
+# 43-49 ms in blocks of 2^16, 2^17 or 2^19 on a 2-vCPU x86 machine).  With
+# one Phi per point (_group_sums), on the same machine a (2000 x 250) group
+# pass took 11.2-11.9 ms in blocks of 2^18, 10.4-10.8 ms in blocks of 2^16,
+# 11.1-12.3 ms in blocks of 2^17, 10.6-12.1 ms in blocks of 2^19 and
+# 14.2-14.8 ms on one thread (medians of 40 interleaved calls, two runs
+# each).  Whole d = 1 and d = 2 benchmark fits took 0.97 and 0.95 times as
+# long in blocks of 2^16 (faster in 22 and 23 of 40 interleaved pairs) and
+# 1.01-1.06 times in blocks of 2^17 or 2^19: none clearly better
 _BLOCK_POINTS = 2**18
 # a pass of fewer observation-points is one block on the calling thread
 _POOL_POINTS = 2**16
 # observation-points per chunk of a group's pass (_group_sums): 256 KiB per
-# array, a cache-sized slice of a block
+# array, a cache-sized slice of a block.  Chunks of 2^14 or 2^16 points took
+# 11.5-12.6 ms for the group pass above, against 10.9-11.6 ms; whole d = 1
+# and d = 2 fits took 0.93 and 0.97 times as long in chunks of 2^14 (faster
+# in 23 of 40 pairs each) and 1.02 and 0.95 times in chunks of 2^16 (16 and
+# 26 of 40): none clearly better
 _CHUNK_POINTS = 2**15
 # fewest observations per group of the ESN skew sum (_Stats.group).  Measured,
 # not derived: on a 2-vCPU x86 machine the SMC phase of a d = 1 fit (n = 1000,
 # N = 2000) took 0.38/0.31/0.34/0.49 s in groups of 125/250/500/1000 points, a
 # d = 2 fit (n = 500, N = 250) 64/66/72 ms in groups of 125/250/500, and one on
 # n = 100 (N = 2000) 141/123/118 ms in groups of 25/50/100 (medians of 16
-# interleaved runs)
+# interleaved runs).  With one Phi per point, whole d = 1 fits took 1.16 and
+# 1.05 times as long in groups of 125 and 500 (medians of 40 interleaved
+# pairs), and d = 2 fits 0.98 and 1.01 times
 _GROUP_POINTS = 250
+# the skew sum's deep tail (_group_sums): below this argument log Phi and m
+# come from log_ndtr and erfcx.  In the left tail ndtr's relative error grows
+# like arg^2 ulps: against mpmath, ndtr and m were within 1.5e-14 on
+# [-10, -3], 6e-14 on [-20, -18] and 1.7e-13 on [-30, -28], and ndtr
+# underflows below -37.5
+_DEEP_ARG = -20.0
+# arguments above this are clamped to it, so arg^2 cannot overflow; above 40,
+# ndtr is 1 and phi 0 anyway, so the clamp changes no value
+_HIGH_ARG = 1e150
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +246,23 @@ def _gauss_logpdf(x, mean, prec, logdet, kappa=1.0, grad=False):
     return value, (-kappa * pu, 0.5 * (kappa * _outer(pu, pu) - prec))
 
 
-def _niw_logpdf(xi, prec, logdet, xi0, kappa, nu, v, grad=False):
-    """Normal-inverse-Wishart log-density per particle (``priors.niw_logpdf``)."""
-    d = xi.shape[1]
-    iw = (
-        0.5 * nu * np.linalg.slogdet(v)[1]
-        - 0.5 * nu * d * math.log(2.0)
-        - log_mv_gamma(d, nu / 2.0)
-        - 0.5 * (nu + d + 1.0) * logdet
-        - 0.5 * np.einsum("njk,jk->n", prec, v)
-    )
-    gauss, parts = _gauss_logpdf(xi, xi0, prec, logdet, kappa, grad)
-    if not grad:
-        return iw + gauss, None
-    g_xi, g_scale = parts
-    return iw + gauss, (g_xi, g_scale + 0.5 * (_sandwich(prec, v) - (nu + d + 1.0) * prec))
+def _niw_logpdf(xi0, kappa, nu, v):
+    """The normal-inverse-Wishart log-density per particle
+    (``priors.niw_logpdf``) as a function of (xi, prec, logdet, grad), its
+    particle-independent prefix taken once, here."""
+    d = v.shape[0]
+    prefix = (0.5 * nu * np.linalg.slogdet(v)[1] - 0.5 * nu * d * math.log(2.0)
+              - log_mv_gamma(d, nu / 2.0))
+
+    def logpdf(xi, prec, logdet, grad=False):
+        iw = prefix - 0.5 * (nu + d + 1.0) * logdet - 0.5 * np.einsum("njk,jk->n", prec, v)
+        gauss, parts = _gauss_logpdf(xi, xi0, prec, logdet, kappa, grad)
+        if not grad:
+            return iw + gauss, None
+        g_xi, g_scale = parts
+        return iw + gauss, (g_xi, g_scale + 0.5 * (_sandwich(prec, v) - (nu + d + 1.0) * prec))
+
+    return logpdf
 
 
 class _Stats:
@@ -283,17 +303,18 @@ def _gauss_loglik(st, xi, prec, logdet, grad=False):
 def _group_sums(z, ab):
     """For each row [alpha, shift] of ``ab``, one group's skew sum S =
     sum_i log Phi(arg_i), arg_i = alpha' z_i + shift, and M_0 = sum_i m_i,
-    M_1..M_d = sum_i m_i z_ij, with m_i = phi(arg_i) / Phi(arg_i) =
-    exp(log phi - log Phi): S's gradient in (shift, alpha).  Runs in chunks
-    of rows, so no array is larger than a chunk.
+    M_1..M_d = sum_i m_i z_ij, with m_i = phi(arg_i) / Phi(arg_i): S's
+    gradient in (shift, alpha).  Runs in chunks of rows, so no array is
+    larger than a chunk.
 
-    m_i is not taken from ``normals.mills_ratio_inv`` (erfcx): on a 2-vCPU
-    x86 machine and a (128, 250) array, log Phi and m cost 51-58 ns per
-    point this way and 91-98 ns with erfcx.  The exponent's rounding error
-    grows with |log Phi|, so m_i's relative error is about 2e-13 at
-    arg = -100, 6e-9 at -1e4 and 1e-4 at -1e6, and m_i becomes inf near
-    -5e9; ``smc.laplace_init`` treats a non-finite gradient as a failed
-    point."""
+    Each point costs one Phi: log Phi = log(ndtr(arg)) and m = phi / ndtr(arg),
+    phi = exp(-arg^2 / 2) / sqrt(2 pi).  Below ``_DEEP_ARG`` these lose
+    relative precision and then underflow, so the few points there are
+    gathered and take ``log_ndtr`` and ``normals.mills_ratio_inv`` (erfcx),
+    which keep it at any depth.  log Phi's absolute error and m's relative
+    error are then a few ulps of 1 + |log Phi| at every argument.  On a
+    2-vCPU x86 machine a (2000, 250) pass costs 22 ns per point, against
+    35 ns with log_ndtr and exp(log phi - log Phi) on every point."""
     rows = max(1, _CHUNK_POINTS // z.shape[0])
     sums = np.empty((ab.shape[0], 2 + z.shape[1]))
     for i in range(0, ab.shape[0], rows):
@@ -303,14 +324,24 @@ def _group_sums(z, ab):
         for j in range(1, z.shape[1]):
             arg += alpha[:, j : j + 1] * z[:, j]
         arg += ab[i : i + rows, -1, None]
-        log_phi = log_ndtr(arg)
-        out = sums[i : i + rows]
-        out[:, 0] = log_phi.sum(axis=1)
+        deep = None
+        if not (arg.min() >= _DEEP_ARG and arg.max() <= _HIGH_ARG):  # or a NaN
+            deep = np.flatnonzero(arg < _DEEP_ARG)
+            deep_arg = arg.ravel()[deep]
+            np.clip(arg, _DEEP_ARG, _HIGH_ARG, out=arg)
+        cdf = ndtr(arg)
         np.multiply(arg, arg, out=arg)
         arg *= -0.5
-        arg -= log_phi
-        arg -= 0.5 * _LOG_2PI
         m = np.exp(arg, out=arg)
+        m *= 1.0 / math.sqrt(2.0 * math.pi)
+        m /= cdf
+        log_cdf = np.log(cdf, out=cdf)
+        if deep is not None:
+            with np.errstate(all="ignore"):  # log Phi = -inf and m = inf at arg = -inf
+                log_cdf.ravel()[deep] = log_ndtr(deep_arg)
+                m.ravel()[deep] = mills_ratio_inv(deep_arg)
+        out = sums[i : i + rows]
+        out[:, 0] = log_cdf.sum(axis=1)
         out[:, 1] = m.sum(axis=1)
         for j in range(z.shape[1]):
             out[:, 2 + j] = np.einsum("ni,i->n", m, z[:, j])
@@ -339,8 +370,16 @@ def _esn_target(st, args, lp, log_jac, passes, grad=False, states=None, fails=No
     that bounds every rounding error of the value and of the bound,
     relative to the terms' sizes, to each point's argument (at most
     ``reach`` = |shift| + |shift'| + sum_j max_i |z_ij| (|alpha_j| +
-    |alpha'_j|) in size) and to m_i, whose exponent is off by a few ulps of
-    |log Phi| <= |S|.  A NaN state gives a NaN bound, which never fails."""
+    |alpha'_j|) in size), and to log Phi_i and m_i.  Above the deep-tail
+    switch, log Phi_i = log(ndtr) is off by ndtr's relative error, a few ulps
+    of 1 + arg^2 where arg <= 0 (and arg^2 <= 2 |log Phi_i| there), plus one
+    ulp of |log Phi_i|; m_i = phi / ndtr by that error plus phi's, whose
+    exponent -arg^2 / 2 is off by an ulp of it, and a few rounding ulps.
+    Below it, log_ndtr and erfcx keep a few ulps.  So log Phi_i is off by a
+    few ulps of 1 + |log Phi_i| and m_i by as many relative to it: a group's
+    S_g by a few ulps of n_g + |S_g|, and its plane's slope terms by a few
+    ulps of ``reach`` M_0g (1 + |S_g|), both far inside (1 + ``reach``)
+    ``curve``.  A NaN state gives a NaN bound, which never fails."""
     xi, prec, logdet, alpha, lam, c0sq = args
     n_rows, d, groups = lam.shape[0], st.d, len(passes)
     gauss, parts = _gauss_loglik(st, xi, prec, logdet, grad)
@@ -412,9 +451,9 @@ def _in_row_blocks(z):
     whose count is a multiple of the worker count, with the rows spread
     evenly (block sizes differ by at most one), so every core gets the same
     share; a smaller pass, or one that makes a single block, runs whole on
-    the calling thread.  ``log_ndtr`` and ``exp`` release the GIL, so blocks
-    run on all cores.  A row gets the same bytes in any block, so the result
-    depends neither on the partition nor on the worker count."""
+    the calling thread.  ``ndtr``, ``exp`` and ``log`` release the GIL, so
+    blocks run on all cores.  A row gets the same bytes in any block, so the
+    result depends neither on the partition nor on the worker count."""
     n = z.shape[0]
 
     def evaluate(ab):
@@ -459,6 +498,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     if parametrization == "p1":
         if not isinstance(hyper, priors.HyperParamsP1):
             raise TypeError("p1 target needs HyperParamsP1")
+        niw = _niw_logpdf(hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
 
         def terms(vmat, grad):
             xi, lmat, prec, logdet, rest, log_jac = pack.split(vmat)
@@ -466,8 +506,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             sa = np.einsum("nji,nj->ni", lmat, alpha)  # L' alpha
             c0sq = 1.0 + np.einsum("ni,ni->n", sa, sa)
             da = alpha - hyper.mu_alpha
-            lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V,
-                                    grad)
+            lp, prior = niw(xi, prec, logdet, grad)
             lp -= 0.5 * (d * (_LOG_2PI + math.log(hyper.sigma2_alpha))
                          + np.einsum("nj,nj->n", da, da) / hyper.sigma2_alpha)
             lp -= 0.5 * (_LOG_2PI + np.log(c0sq) + lam * lam / c0sq)
@@ -488,6 +527,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     elif parametrization == "p2":
         if not isinstance(hyper, priors.HyperParamsP2):
             raise TypeError("p2 target needs HyperParamsP2")
+        niw = _niw_logpdf(hyper.xi0t, hyper.kappat, hyper.nut, hyper.Vt)
 
         def terms(vmat, grad):
             # convolution to hidden-truncation form (esn.p2_to_p1) by
@@ -501,8 +541,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
             sig_prec = prec - np.einsum("nj,nk->njk", pd, pd) / q1[:, None, None]
             root = np.sqrt(q1)
             alpha = pd / root[:, None]
-            lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0t, hyper.kappat, hyper.nut,
-                                    hyper.Vt, grad)
+            lp, prior = niw(xi, prec, logdet, grad)
             lp_d, prior_d = _gauss_logpdf(dvec, hyper.mu_d, prec, logdet, hyper.kappa_d, grad)
             lp += lp_d
             lp -= 0.5 * (_LOG_2PI + c * c)
@@ -572,10 +611,11 @@ def make_gaussian_target(data, hyper) -> TargetModel:
     st = _Stats(z)
     d = st.d
     pack = _Packing(d, extra=0)
+    niw = _niw_logpdf(hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
 
     def evaluate(vmat, grad=False):
         xi, lmat, prec, logdet, _, log_jac = pack.split(vmat)
-        lp, prior = _niw_logpdf(xi, prec, logdet, hyper.xi0, hyper.kappa, hyper.nu, hyper.V, grad)
+        lp, prior = niw(xi, prec, logdet, grad)
         ll, lik = _gauss_loglik(st, xi, prec, logdet, grad)
         value = ll + lp + log_jac
         if not grad:

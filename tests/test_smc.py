@@ -436,6 +436,57 @@ class TestParticleState:
         np.testing.assert_allclose(system.log_eta, target.eta1.logpdf_batch(x), rtol=1e-12)
 
 
+def _assert_bytes_on_any_partition(target, vmat, rng, monkeypatch):
+    """The values and states of ``vmat``'s rows, and the screened values of
+    proposals from them, have one row's bytes on any row-block partition,
+    pooled or not, with 1 or 2 workers."""
+    single = np.concatenate([target.log_target_many(v[None]) for v in vmat])
+    _, states = target.log_target_screened_many(vmat)
+    prop = vmat + 0.05 * rng.normal(size=vmat.shape)
+    prop_single = np.concatenate([target.log_target_many(v[None]) for v in prop])
+    for workers, block_points in ((1, 2**18), (2, 2**18), (2, 3000), (1, 3000)):
+        monkeypatch.setattr(models, "_workers", lambda: workers)
+        monkeypatch.setattr(models, "_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(models, "_POOL_POINTS", min(2**16, block_points))
+        values, again = target.log_target_screened_many(vmat)
+        assert values.tobytes() == single.tobytes()
+        assert again.tobytes() == states.tobytes()
+        assert target.log_target_many(vmat).tobytes() == single.tobytes()
+        assert _stage_bounds(target, prop, states)[0].tobytes() == prop_single.tobytes()
+
+
+def _mp_iid_log_post(mp, z, hyper, model, xi, u, a, b):
+    """The one-dimensional IID ESN log target in mpmath, at xi, the log
+    scale u and the (alpha, lambda) of p1 or the (d, c) of p2."""
+    l2p = mp.log(2 * mp.pi)
+    s2 = mp.exp(2 * u)  # sigma^2 (p1) or omega^2 (p2)
+    if model == "p1":
+        alpha, lam = a, b
+        sig2 = s2
+        nu, v, kappa, xi0 = hyper.nu, hyper.V[0, 0], hyper.kappa, hyper.xi0[0]
+        prior = -0.5 * (l2p + mp.log(hyper.sigma2_alpha)
+                        + (alpha - hyper.mu_alpha[0]) ** 2 / hyper.sigma2_alpha)
+    else:  # esn.p2_to_p1: sigma^2 = omega^2 + d^2, alpha = d / (omega^2 sqrt(1 + q))
+        q1 = 1 + a * a / s2
+        alpha, lam, sig2 = a / (s2 * mp.sqrt(q1)), b * mp.sqrt(q1), s2 + a * a
+        nu, v, kappa, xi0 = hyper.nut, hyper.Vt[0, 0], hyper.kappat, hyper.xi0t[0]
+        prior = -0.5 * (l2p + mp.log(s2 / hyper.kappa_d)
+                        + hyper.kappa_d * (a - hyper.mu_d[0]) ** 2 / s2)
+    c0sq = 1 + alpha**2 * sig2
+    out = -len(z) * mp.log(mp.ncdf(lam / mp.sqrt(c0sq)))
+    for zi in z:
+        e = mp.mpf(zi) - xi
+        out += -0.5 * (l2p + mp.log(sig2) + e * e / sig2) + mp.log(mp.ncdf(alpha * e + lam))
+    nu, v = mp.mpf(nu), mp.mpf(v)
+    out += nu / 2 * mp.log(v / 2) - mp.loggamma(nu / 2) - (nu + 2) / 2 * mp.log(s2) - v / (2 * s2)
+    out += -0.5 * (l2p + mp.log(s2 / kappa) + kappa * (xi - xi0) ** 2 / s2)
+    if model == "p1":
+        out += -0.5 * (l2p + mp.log(c0sq) + lam**2 / c0sq)
+    else:
+        out += -0.5 * (l2p + b * b)
+    return out + prior + mp.log(2) + 2 * u
+
+
 def _iid_target(model, d, n, seed):
     rng = np.random.default_rng(seed)
     z = esn.sample(
@@ -560,19 +611,62 @@ class TestEarlyRejection:
         vmat = target.default_start + 0.3 * rng.normal(size=(301, target.dim))
         vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]
         vmat[4, d] = -800.0
-        single = np.concatenate([target.log_target_many(v[None]) for v in vmat])
-        _, states = target.log_target_screened_many(vmat)
-        prop = vmat + 0.05 * rng.normal(size=vmat.shape)
-        prop_single = np.concatenate([target.log_target_many(v[None]) for v in prop])
-        for workers, block_points in ((1, 2**18), (2, 2**18), (2, 3000), (1, 3000)):
-            monkeypatch.setattr(models, "_workers", lambda: workers)
-            monkeypatch.setattr(models, "_BLOCK_POINTS", block_points)
-            monkeypatch.setattr(models, "_POOL_POINTS", min(2**16, block_points))
-            values, again = target.log_target_screened_many(vmat)
-            assert values.tobytes() == single.tobytes()
-            assert again.tobytes() == states.tobytes()
-            assert target.log_target_many(vmat).tobytes() == single.tobytes()
-            assert _stage_bounds(target, prop, states)[0].tobytes() == prop_single.tobytes()
+        _assert_bytes_on_any_partition(target, vmat, rng, monkeypatch)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    def test_deep_tail_rows_give_the_value_bytes_on_any_partition(self, model, d, monkeypatch):
+        # shifts (p1) or truncations (p2) that put some of each row's points
+        # below the deep-tail switch, where log Phi and m take erfcx
+        target, rng = _iid_target(model, d, 1000, 95 + d)
+        vmat = target.default_start + 0.3 * rng.normal(size=(301, target.dim))
+        vmat[:, -1] = rng.uniform(*((-26.0, -14.0) if model == "p1" else (-16.0, -4.0)), size=301)
+        deep = []
+        mills_ratio_inv = models.mills_ratio_inv
+
+        def spy(x):
+            deep.append(x.size)
+            return mills_ratio_inv(x)
+
+        monkeypatch.setattr(models, "mills_ratio_inv", spy)
+        target.log_target_many(vmat)
+        assert 0.05 < sum(deep) / (301 * 1000) < 0.95
+        _assert_bytes_on_any_partition(target, vmat, rng, monkeypatch)
+
+    @pytest.mark.parametrize("model", ["p1", "p2"])
+    def test_iid_target_in_the_deep_tail(self, model):
+        # points whose skew argument is about -1e4, -1e6 and -1e10: the
+        # gradient, the screening state and the bound stay finite, and the
+        # gradient is that of an mpmath oracle
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.normal(size=20), [-1e4, -1e6, -1e10]])
+        h1, h2 = priors.default_hyper(1)
+        hyper = h1 if model == "p1" else h2
+        target = models.make_iid_esn_target(z, hyper, model)
+        # p1: xi, log sigma, alpha, lambda; p2: xi, log omega, d, c
+        rows = np.array([[0.0, 0.0, 1.0, 0.0], [0.3, 0.2, 0.7, -0.4]])
+        values, grads = target.log_target_grad_many(rows)
+        assert np.isfinite(grads).all()
+        with mp.workdps(40):
+            for row, value, grad in zip(rows, values, grads):
+                x = [mp.mpf(a) for a in row]
+                assert value == pytest.approx(float(_mp_iid_log_post(mp, z, hyper, model, *x)),
+                                              rel=1e-13)
+                expect = np.array([float(mp.diff(
+                    lambda t, k=k: _mp_iid_log_post(mp, z, hyper, model, *x[:k], t, *x[k + 1:]),
+                    x[k])) for k in range(4)])
+                # p2's gradient in d is a difference of terms of about 1e20
+                # (sigma^2 = omega^2 + d^2), so it holds only to the gradient's scale
+                scale = 0.0 if model == "p1" else np.abs(expect).max()
+                np.testing.assert_allclose(grad, expect, rtol=1e-12, atol=1e-12 * scale)
+        screened, states = target.log_target_screened_many(rows)
+        assert screened.tobytes() == values.tobytes()
+        assert np.isfinite(states).all()
+        prop = rows + 1e-3 * rng.normal(size=rows.shape)
+        value = target.log_target_many(prop)
+        for _, bound in _stage_bounds(target, prop, states)[1]:
+            assert not np.isnan(bound).any() and np.all(bound >= value)
 
     def test_nan_state_or_infinite_current_value_is_evaluated(self):
         # a bound of -inf rejects every row it can: only the row whose state
@@ -623,6 +717,64 @@ class TestEarlyRejection:
         values, states = target.log_target_screened_many(sys.particles[moved])
         assert states.tobytes() == sys.tangent[moved].tobytes()
         assert values.tobytes() == sys.log_pi[moved].tobytes()
+
+
+def _mp_log_cdf_and_mills(mp, x):
+    """log Phi(x) and phi(x) / Phi(x) in mpmath, their limits at +-inf;
+    below -1e100, where mpmath's erfc gives up, the asymptotic series' first
+    term, whose relative error 1 / x^2 is below 1e-200."""
+    if math.isnan(x):
+        return mp.nan, mp.nan
+    if math.isinf(x):
+        return (mp.mpf(0), mp.mpf(0)) if x > 0 else (-mp.inf, mp.inf)
+    x = mp.mpf(x)
+    if x < -1e100:
+        return -x * x / 2 - mp.log(-x * mp.sqrt(2 * mp.pi)), -x
+    cdf = mp.ncdf(x)
+    return mp.log(cdf), mp.npdf(x) / cdf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGroupSums:
+    """The skew sum's one per-point routine against mpmath: S = sum log Phi,
+    M_0 = sum m and M_j = sum m z_j on both sides of the deep-tail switch,
+    in the deep tail, where phi underflows, and at +-inf and NaN."""
+
+    # arg_i = z_i1 + shift, as alpha = (1, 0); z_2 only weights M_2
+    z = np.array([[0.0, 1.0], [0.25, 2.0], [0.5, 3.0], [1.5, 0.5]])
+
+    def _check(self, shifts, rtol_s=1e-13, atol_s=0.0):
+        mp = pytest.importorskip("mpmath")
+        shifts = np.asarray(shifts, dtype=float)
+        ab = np.column_stack([np.ones_like(shifts), np.zeros_like(shifts), shifts])
+        got = models._group_sums(self.z, ab)
+        expect = np.empty_like(got)
+        with mp.workdps(40):
+            for row, shift in zip(expect, shifts):
+                terms = [_mp_log_cdf_and_mills(mp, float(z1 + shift)) for z1 in self.z[:, 0]]
+                row[0] = float(mp.fsum(t[0] for t in terms))
+                row[1] = float(mp.fsum(t[1] for t in terms))
+                for j in range(2):
+                    row[2 + j] = float(mp.fsum(t[1] * zj for t, zj in zip(terms, self.z[:, j])))
+        np.testing.assert_allclose(got[:, 0], expect[:, 0], rtol=rtol_s, atol=atol_s)
+        np.testing.assert_allclose(got[:, 1:], expect[:, 1:], rtol=1e-13, atol=0.0)
+
+    def test_both_sides_of_the_switch(self):
+        t = models._DEEP_ARG
+        rng = np.random.default_rng(0)
+        self._check(np.concatenate([[t - 1.5, t - 0.3, t - 1e-9, t, t + 1e-9, -12.0, -3.0, 0.0],
+                                    rng.uniform(t - 3.0, t + 3.0, 40)]))
+
+    def test_deep_tail(self):
+        self._check([-30.0, -38.0, -45.5, -300.0, -1e4, -1e6, -1e10, -1e155, -1e200])
+
+    def test_where_phi_underflows_and_at_inf_and_nan(self):
+        self._check([39.0, 50.0, 1e3, 1e155, 1e200, np.inf, -np.inf, np.nan])
+
+    def test_log_phi_near_one_holds_to_an_ulp_of_one_per_point(self):
+        # log(ndtr) keeps log Phi's absolute, not relative, precision where
+        # Phi rounds near 1
+        self._check([2.0, 5.0, 10.0, 30.0], rtol_s=1e-13, atol_s=4 * 2.0**-53)
 
 
 class TestLaplaceInit:
@@ -971,6 +1123,26 @@ class TestBatchConsistency:
             vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]
         return target, log_post, vmat
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_niw_prefix_taken_once_keeps_the_value_bytes(self, d):
+        # the particle-independent prefix, taken once per target, then the
+        # per-particle terms, in the left-to-right order of one expression
+        rng = np.random.default_rng(40 + d)
+        a = rng.normal(size=(d, d))
+        xi0, kappa, nu, v = rng.normal(size=d), 0.3, d + 4.5, a @ a.T + np.eye(d)
+        xi = rng.normal(size=(50, d))
+        b = rng.normal(size=(50, d, d))
+        sigma = np.einsum("nij,nkj->nik", b, b) + np.eye(d)
+        prec, logdet = np.linalg.inv(sigma), np.linalg.slogdet(sigma)[1]
+        got = models._niw_logpdf(xi0, kappa, nu, v)(xi, prec, logdet)[0]
+        expect = (0.5 * nu * np.linalg.slogdet(v)[1] - 0.5 * nu * d * math.log(2.0)
+                  - model_select.log_mv_gamma(d, nu / 2.0) - 0.5 * (nu + d + 1.0) * logdet
+                  - 0.5 * np.einsum("njk,jk->n", prec, v)
+                  + models._gauss_logpdf(xi, xi0, prec, logdet, kappa)[0])
+        assert got.tobytes() == expect.tobytes()
+        oracle = [priors.niw_logpdf(x, s, xi0, kappa, nu, v) for x, s in zip(xi, sigma)]
+        np.testing.assert_allclose(got, oracle, rtol=1e-12)
+
     @pytest.mark.parametrize("gaussian_errors", [False, True])
     def test_esnsm_batch_matches_scalar(self, gaussian_errors):
         self._check(*self._esnsm_case(gaussian_errors))
@@ -1132,7 +1304,8 @@ class TestBatchConsistency:
         ]
         # two workers force the thread pool even on a one-core machine, and
         # the errors that rows 0-6 raise must stay silent on its threads as
-        # on the calling one: row 6's skew arguments overflow when squared
+        # on the calling one: row 6's skew arguments are near -1e307, so its
+        # m_i (about |arg_i|) overflow when summed inside _group_sums
         calls = []
         group_sums = models._group_sums
 
@@ -1153,7 +1326,7 @@ class TestBatchConsistency:
             vmat[:4, -1] = [40.0, -40.0, 25.0, -25.0]  # shift (p1) or truncation (p2) in the tails
             vmat[4, d] = -800.0  # a scale whose Cholesky diagonal underflows to 0
             vmat[5, 0] = np.nan
-            vmat[6, -1] = 1e300
+            vmat[6, -1] = -1e307  # shift (p1) or truncation (p2)
             single = [target.log_target_grad_many(v[None]) for v in vmat]
             single = tuple(np.concatenate(p) for p in zip(*single))
             finite = np.isfinite(single[0])
