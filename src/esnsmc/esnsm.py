@@ -505,10 +505,11 @@ def make_esnsm_target(
     shift.  With gaussian_errors the shape and shift are pinned at zero,
     which is the Bayesian Tobit-2 model.
 
-    The target evaluates ``loglik`` plus ``log_prior_esnsm`` for the whole
-    particle matrix at once: every selection block is a scalar per
-    particle, and the design's Gram matrices are computed here, once.
-    Asked for it, the same evaluator also returns the gradient in the
+    The target's ``evaluate`` hook takes ``loglik`` plus
+    ``log_prior_esnsm`` for the whole particle matrix at once: every
+    selection block is a scalar per particle, and the design's Gram
+    matrices are computed here, once.  It does not screen.  Asked with
+    ``grad``, the same evaluator also returns the gradient in the
     unconstrained coordinates, by a backward sweep through the value's
     intermediates (the CDF's partials from ``normals.log_bvn_partials``).
     """
@@ -577,11 +578,11 @@ def make_esnsm_target(
     # cutting the node rule's work into chunks of 2^18 terms gained nothing
     rows = max(1, 2**15 // data.n)
 
-    def evaluate(vmat, grad=False):
-        """The log target of each row of ``vmat`` and, with ``grad``, its
-        gradient: the per-particle terms once for the whole batch, then the
-        per-point work in row blocks, each returning sums over its rows'
-        points, then the scalar chain that combines them."""
+    def evaluate(vmat, grad=False, states=None, fails=None):
+        """The log target of each row of ``vmat`` and its gradient (None
+        without ``grad``): the per-particle terms once for the whole batch,
+        then the per-point work in row blocks, each returning sums over its
+        rows' points, then the scalar chain that combines them."""
         theta = to_constrained(vmat)
         b, b2 = theta[:, :k_out], theta[:, k_out:i_s]
         s1, s12 = theta[:, i_s], theta[:, i_s + 1]
@@ -674,7 +675,7 @@ def make_esnsm_target(
         # s22_1 = 1 - q: both the likelihood and the sigma12 prior need q < 1
         value = np.where(s22_1 > 0.0, ll + lp + log_jac, -np.inf)
         if not grad:
-            return value
+            return value, None
 
         # the gradient, backwards through the same intermediates: g_v is
         # d(log target)/dv; the clips of r bind only where dr/d(...) ~ 0.
@@ -771,8 +772,7 @@ def make_esnsm_target(
     )
     return TargetModel(
         dim=dim,
-        log_target_batch=evaluate,
-        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
+        evaluate=evaluate,
         to_constrained=to_constrained,
         param_names=names,
         default_start=to_unconstrained(start_theta),

@@ -4,9 +4,10 @@ Each builder packs the model's parameters into a flat constrained vector,
 defines the matching unconstrained coordinates (locations, shapes and
 shift/truncation scalars pass through; scale matrices go through a
 log-Cholesky map), and wires the likelihood and prior into a
-``TargetModel`` as one vectorised evaluator over whole particle
-matrices, in any dimension; asked for it, the evaluator also returns the
-gradient in the unconstrained coordinates from the same intermediates.
+``TargetModel`` as its one ``evaluate`` hook, vectorised over whole
+particle matrices, in any dimension; asked with ``grad``, the hook also
+returns the gradient in the unconstrained coordinates from the same
+intermediates.
 Scale gradients are carried as a symmetric G with d f = tr(G dSigma) and
 mapped to the log-Cholesky parameters once, by ``_Packing.gradient``.
 The Gaussian part of each likelihood works from the data's centred
@@ -478,8 +479,9 @@ def _in_row_blocks(z):
 def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel:
     """Posterior target for IID extended skew-normal data under either
     parametrisation, with its §-default prior block attached by the caller.
-    Its value, gradient and screened paths are one evaluator (``_esn_target``),
-    which screens the MH move's proposals group by group."""
+    Its ``evaluate`` hook serves the value, the gradient and screening
+    through one evaluator (``_esn_target``), which screens the MH move's
+    proposals group by group."""
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
@@ -566,7 +568,7 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
-    def evaluate(vmat, states=None, fails=None, grad=False):
+    def evaluate(vmat, grad=False, states=None, fails=None):
         args, lp, log_jac, chain = terms(vmat, grad)
         value, out = _esn_target(st, args, lp, log_jac, passes, grad, states, fails)
         return value, (chain(out) if grad else out)
@@ -590,19 +592,19 @@ def make_iid_esn_target(data, hyper, parametrization: str = "p1") -> TargetModel
     passes = [_in_row_blocks(st.z[lo:hi]) for lo, hi in zip(st.edges, st.edges[1:])]
     return TargetModel(
         dim=pack.dim,
-        log_target_batch=lambda vmat: evaluate(vmat)[0],
-        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
+        evaluate=evaluate,
         to_constrained=pack.to_constrained,
         param_names=names,
         default_start=start,
-        log_target_screened_batch=evaluate,
     )
 
 
 def make_gaussian_target(data, hyper) -> TargetModel:
     """Posterior target for IID Gaussian data under the conjugate
     normal-inverse-Wishart prior.  The evidence of this model has a
-    closed form, which makes it the calibration oracle for the sampler."""
+    closed form, which makes it the calibration oracle for the sampler.
+    Its ``evaluate`` hook does not screen: without ``grad`` its extra item
+    is None."""
     if not isinstance(hyper, priors.HyperParamsP1):
         raise TypeError("gaussian target needs HyperParamsP1")
     z = np.asarray(data, dtype=float)
@@ -613,21 +615,20 @@ def make_gaussian_target(data, hyper) -> TargetModel:
     pack = _Packing(d, extra=0)
     niw = _niw_logpdf(hyper.xi0, hyper.kappa, hyper.nu, hyper.V)
 
-    def evaluate(vmat, grad=False):
+    def evaluate(vmat, grad=False, states=None, fails=None):
         xi, lmat, prec, logdet, _, log_jac = pack.split(vmat)
         lp, prior = niw(xi, prec, logdet, grad)
         ll, lik = _gauss_loglik(st, xi, prec, logdet, grad)
         value = ll + lp + log_jac
         if not grad:
-            return value
+            return value, None
         return value, pack.gradient(lik[0] + prior[0], lik[1] + prior[1], lmat)
 
     var = np.cov(z.T, ddof=0) if d > 1 else np.array([[max(z.var(), 1e-8)]])
     start_theta = np.concatenate([st.mean, np.atleast_2d(var)[_tril(d)]])
     return TargetModel(
         dim=pack.dim,
-        log_target_batch=evaluate,
-        log_target_grad_batch=lambda vmat: evaluate(vmat, grad=True),
+        evaluate=evaluate,
         to_constrained=pack.to_constrained,
         param_names=param_names(d),
         default_start=pack.to_unconstrained(start_theta),

@@ -89,64 +89,62 @@ class GaussianInit:
         return self.mean + z @ self._chol.T
 
 
-def _finite_or_neginf(batch, vmat, *args):
-    """``batch(vmat, *args)`` with floating-point errors ignored, its values
-    (the whole result, or its first item when it is a tuple) as a float
-    array with every non-finite value mapped to -inf."""
+def _finite_or_neginf(evaluate, vmat, grad=False, states=None, fails=None):
+    """``evaluate(vmat, grad, states, fails)`` with floating-point errors
+    ignored: its values as a float array with every non-finite value mapped
+    to -inf, and its extra item as it came."""
     with np.errstate(all="ignore"):
-        result = batch(vmat, *args)
-    values, *rest = result if isinstance(result, tuple) else (result,)
+        values, extra = evaluate(vmat, grad, states, fails)
     values = np.array(values, dtype=float)
     values[~np.isfinite(values)] = -np.inf
-    return (values, *rest) if rest else values
+    return values, extra
 
 
 @dataclass
 class TargetModel:
     """Posterior target seen by the sampler.
 
-    ``log_target_batch`` maps an (N, dim) matrix of unconstrained particles
-    to the N values of the unnormalised log posterior plus the
-    log-determinant of d(constrained)/d(unconstrained); it, or
-    ``log_target_screened_batch`` where the target screens (below), is the
-    only route by which the sampler evaluates the target.
-    ``log_target_grad_batch``, where the target has one, returns the same
-    N values (the same bytes) together with their (N, dim) gradient in the
-    unconstrained coordinates; ``laplace_init`` needs it.
+    ``evaluate(vmat, grad=False, states=None, fails=None)`` is the only
+    route by which the sampler evaluates the target.  It maps an (N, dim)
+    matrix of unconstrained particles to ``(values, extra)``: the N values
+    of the unnormalised log posterior plus the log-determinant of
+    d(constrained)/d(unconstrained), and
+
+    - with ``grad``, their (N, dim) gradient in the unconstrained
+      coordinates, which ``laplace_init`` needs (a target without one
+      raises ``InitializationError``);
+    - otherwise an (N, k) state per row for screening the MH move's
+      proposals, or None for a target that does not screen.
+
+    Given the states of the particles the rows were proposed from and a
+    test ``fails(rows, bound)`` (indices into vmat, and an upper bound on
+    each one's value), a screening target may stop evaluating a row as soon
+    as the test fails on a bound; that row's value is -inf.  Every bound it
+    passes must be at least the row's value.  The values of a row it
+    evaluates, with or without a gradient or a state, have the same bytes.
     ``to_constrained`` maps one unconstrained vector, or an (N, dim) matrix
     of them, to the flat constrained layout.
 
-    A target may also screen the MH move's proposals.
-    ``log_target_screened_batch(vmat, states, fails)`` returns the values of
-    ``log_target_batch`` (the same bytes) and an (N, k) state per row.
-    Given the states of the particles the rows were proposed from and a
-    test ``fails(rows, bound)`` (indices into vmat, and an upper bound on
-    each one's value), it may stop evaluating a row as soon as the test
-    fails on a bound; that row's value is -inf.  Every bound it passes must
-    be at least the row's ``log_target_many`` value.
+    The ``log_target*`` methods are the hook's only callers.
     """
 
     dim: int
-    log_target_batch: Callable[[np.ndarray], np.ndarray]
-    log_target_grad_batch: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    evaluate: Callable[..., tuple[np.ndarray, Optional[np.ndarray]]]
     to_constrained: Callable[[np.ndarray], np.ndarray] = _identity
     eta1: Optional[GaussianInit] = None
     param_names: Optional[list[str]] = None
     default_start: Optional[np.ndarray] = None
-    log_target_screened_batch: Optional[Callable[..., tuple[np.ndarray, np.ndarray]]] = None
 
     def log_target(self, v) -> float:
         return float(self.log_target_many(np.asarray(v, dtype=float)[None])[0])
 
     def log_target_many(self, vmat) -> np.ndarray:
-        return _finite_or_neginf(self.log_target_batch, np.atleast_2d(vmat))
+        return _finite_or_neginf(self.evaluate, np.atleast_2d(vmat))[0]
 
     def log_target_grad_many(self, vmat) -> tuple[np.ndarray, np.ndarray]:
         """Values as ``log_target_many`` gives them, and their gradients; a
         row whose value is not finite has an undefined gradient."""
-        if self.log_target_grad_batch is None:
-            raise InitializationError("target has no gradient")
-        out, grad = _finite_or_neginf(self.log_target_grad_batch, np.atleast_2d(vmat))
+        out, grad = _finite_or_neginf(self.evaluate, np.atleast_2d(vmat), True)
         return out, np.asarray(grad, dtype=float)
 
     def log_target_screened_many(
@@ -157,9 +155,9 @@ class TargetModel:
         proposals made from it later: (N, 0) for a target that does not
         screen, which evaluates every row in full."""
         vmat = np.atleast_2d(vmat)
-        if self.log_target_screened_batch is None:
-            return self.log_target_many(vmat), np.empty((vmat.shape[0], 0))
-        out, states = _finite_or_neginf(self.log_target_screened_batch, vmat, states, fails)
+        out, states = _finite_or_neginf(self.evaluate, vmat, False, states, fails)
+        if states is None:
+            return out, np.empty((vmat.shape[0], 0))
         return out, np.asarray(states, dtype=float)
 
     def _eta1(self) -> GaussianInit:
@@ -507,9 +505,7 @@ def _cov_from_precision(prec: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return (eigvec / eigval) @ eigvec.T
 
 
-def laplace_init(
-    target: TargetModel, start, max_iter: int = 500, inflate: float = 1.0
-) -> GaussianInit:
+def laplace_init(target: TargetModel, start, inflate: float = 1.0) -> GaussianInit:
     """Gaussian initial distribution from a Laplace approximation:
     BFGS ascent to the posterior mode on the target's analytic gradient,
     one row per evaluation, then the inverse of the negated Hessian, taken
@@ -536,7 +532,7 @@ def laplace_init(
         return -val[0], -grad[0]
 
     res = minimize(neg, start, jac=True, method="BFGS",
-                   options={"maxiter": max_iter, "gtol": 1e-5})
+                   options={"maxiter": 500, "gtol": 1e-5})
     # BFGS can stop with a "precision loss" flag at a perfectly good mode
     # when the gradient is down to its rounding: judge by the gradient
     # scaled to the objective instead of the success flag.
@@ -551,14 +547,11 @@ def laplace_init(
 
 
 def pilot_mh_init(
-    target: TargetModel,
-    iterations: int,
-    rng: np.random.Generator,
-    start=None,
-    initial_step: float = 0.1,
-    inflate: float = 1.0,
+    target: TargetModel, iterations: int, rng: np.random.Generator, inflate: float = 1.0
 ) -> GaussianInit:
-    """Gaussian initial distribution from a pilot random-walk MH run.
+    """Gaussian initial distribution from a pilot random-walk MH run from
+    the target's default start (the origin where it has none), with a step
+    of 0.1 at first.
 
     The first half of the chain is burn-in (with multiplicative step-size
     adaptation towards the acceptance band); the second half supplies the
@@ -567,16 +560,13 @@ def pilot_mh_init(
     """
     if iterations < 1000:
         raise ValueError("pilot run needs at least 1000 iterations")
-    if start is None:
-        start = target.default_start
-    if start is None:
-        start = np.zeros(target.dim)
-    x = np.asarray(start, dtype=float).copy()
+    start = target.default_start
+    x = np.zeros(target.dim) if start is None else np.array(start, dtype=float)
     cur = target.log_target(x)
     if not math.isfinite(cur):
         raise InitializationError("log posterior not finite at the pilot start")
 
-    step = initial_step
+    step = 0.1
     burn = iterations // 2
     chain = np.empty((iterations, target.dim))
     accepted = 0

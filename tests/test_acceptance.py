@@ -15,6 +15,7 @@ from scipy.stats import norm
 from scipy.stats import t as t_dist
 
 from esnsmc import esn, esnsm, model_select, models, priors, smc
+from esnsmc.errors import InitializationError
 from mh_reference import rwmh_reference
 
 DESIGN_P1 = dict(xi=2.0, sigma=6.0, alpha=5.0, lam=-2.0)
@@ -28,6 +29,18 @@ def _report(number, ok, detail):
     if sys.__stdout__ is not None and sys.stdout is not sys.__stdout__:
         print(line, file=sys.__stdout__)
     assert ok, f"criterion {number}: {detail}"
+
+
+def _value_target(value):
+    """A one-dimensional target from a value function of the particle
+    matrix: no gradient, no screening."""
+
+    def evaluate(vmat, grad=False, states=None, fails=None):
+        if grad:
+            raise InitializationError("target has no gradient")
+        return value(vmat), None
+
+    return smc.TargetModel(dim=1, evaluate=evaluate)
 
 
 def _fit_p1(data, n_particles, seed, hyper=None):
@@ -453,9 +466,7 @@ class TestCriterion10:
         checks.append(("copy counts", copy_ok))
 
         # reweighting identity at zero temperature step
-        target = smc.TargetModel(
-            dim=1, log_target_batch=lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
-        )
+        target = _value_target(lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1))
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         x = rng.normal(size=(16, 1))
         sys = smc.ParticleSystem(
@@ -469,11 +480,8 @@ class TestCriterion10:
         checks.append(("zero-step reweight", bool(np.allclose(lw, -math.log(16)))))
 
         # bisection clamps to one when the full step keeps ESS high
-        target2 = smc.TargetModel(
-            dim=1,
-            log_target_batch=(
-                lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
-            ),
+        target2 = _value_target(
+            lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
         )
         target2.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         x2 = rng.normal(size=(64, 1))

@@ -15,6 +15,27 @@ from esnsmc.errors import (
 )
 
 
+def value_only(value):
+    """An ``evaluate`` hook from a value function of the particle matrix:
+    no gradient, no screening."""
+
+    def evaluate(vmat, grad=False, states=None, fails=None):
+        if grad:
+            raise InitializationError("target has no gradient")
+        return value(vmat), None
+
+    return evaluate
+
+
+def with_gradient(dim, value, gradient):
+    """A target from closed-form value and gradient functions of the particle matrix."""
+
+    def evaluate(vmat, grad=False, states=None, fails=None):
+        return value(vmat), (gradient(vmat) if grad else None)
+
+    return smc.TargetModel(dim=dim, evaluate=evaluate)
+
+
 def gaussian_target(dim=1, mean=0.0, var=1.0):
     mean_vec = np.full(dim, mean)
     prec = np.eye(dim) / var
@@ -23,17 +44,7 @@ def gaussian_target(dim=1, mean=0.0, var=1.0):
         u = vmat - mean_vec
         return -0.5 * np.sum((u @ prec) * u, axis=1)
 
-    def grad_batch(vmat):
-        return batch(vmat), -(vmat - mean_vec) @ prec
-
-    return smc.TargetModel(dim=dim, log_target_batch=batch, log_target_grad_batch=grad_batch)
-
-
-def with_gradient(dim, value, gradient):
-    """A target from closed-form value and gradient functions of the particle matrix."""
-    return smc.TargetModel(
-        dim=dim, log_target_batch=value, log_target_grad_batch=lambda v: (value(v), gradient(v))
-    )
+    return with_gradient(dim, batch, lambda vmat: -(vmat - mean_vec) @ prec)
 
 
 def make_system(target, log_weights, particles=None, rho=0.0):
@@ -91,7 +102,7 @@ class TestReweight:
         def batch(vmat):
             return -0.5 * np.sum(vmat * vmat, axis=1) + norm_const
 
-        target.log_target_batch = batch
+        target.evaluate = value_only(batch)
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = make_system(target, np.full(6, -math.log(6)), np.linspace(-2, 2, 6)[:, None])
         lw = smc.reweight(sys, 0.7)
@@ -120,7 +131,7 @@ class TestNextTemperature:
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         # pi identical to eta1 up to the normalising constant: ESS stays N
-        target.log_target_batch = lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1)
+        target.evaluate = value_only(lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1))
         sys = make_system(
             target, np.full(16, -math.log(16)), np.random.default_rng(0).normal(size=(16, 1))
         )
@@ -222,7 +233,7 @@ class TestSystematicResample:
 class TestEvidenceIncrement:
     def test_target_equals_eta1(self):
         target = gaussian_target()
-        target.log_target_batch = (
+        target.evaluate = value_only(
             lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
         )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
@@ -306,7 +317,7 @@ class TestRwmhPropagate:
 class TestRun:
     def test_target_equal_eta1_single_stage(self):
         target = gaussian_target()
-        target.log_target_batch = (
+        target.evaluate = value_only(
             lambda vmat: -0.5 * np.sum(vmat * vmat, axis=1) - 0.5 * math.log(2 * math.pi)
         )
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
@@ -390,6 +401,27 @@ class TestRun:
         assert max(abs(v - m0) for v in vals) < 0.2
 
 
+class TestTargetModel:
+    """The wrappers are the hook's only callers and share its error handling."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "wrapper", ["log_target_many", "log_target_grad_many", "log_target_screened_many"]
+    )
+    def test_non_finite_values_read_neginf(self, wrapper):
+        extra = np.arange(8.0).reshape(4, 2)
+
+        def evaluate(vmat, grad=False, states=None, fails=None):
+            np.log(0.0)  # a floating-point error inside the hook escapes as no warning
+            return np.array([np.nan, np.inf, -np.inf, 1.0]), extra.copy()
+
+        target = smc.TargetModel(dim=2, evaluate=evaluate)
+        out = getattr(target, wrapper)(np.zeros((4, 2)))
+        values, rest = out if isinstance(out, tuple) else (out, extra)
+        assert values.tolist() == [-np.inf, -np.inf, -np.inf, 1.0]
+        assert rest.tobytes() == extra.tobytes()
+
+
 class TestParticleState:
     """Each particle's log target and log eta1 are computed once, when it is
     proposed, and stay consistent with its position."""
@@ -400,14 +432,14 @@ class TestParticleState:
         h1, _ = priors.default_hyper(1)
         target = models.make_gaussian_target(data, h1)
         target.eta1 = smc.GaussianInit(np.array([-3.0, 2.0]), np.diag([9.0, 4.0]))
-        batch = target.log_target_batch
+        evaluate = target.evaluate
         calls = []
 
-        def counted(vmat):
+        def counted(vmat, *args):
             calls.append(vmat.shape[0])
-            return batch(vmat)
+            return evaluate(vmat, *args)
 
-        target.log_target_batch = counted
+        target.evaluate = counted
         out = smc.run(target, smc.SmcConfig(n_particles=400, mh_steps=mh_steps, seed=4))
         assert out.n_stages > 1
         # the initial population, then one batch per MH step of every stage
@@ -561,9 +593,13 @@ class TestEarlyRejection:
         target, _ = _iid_target(model, d, n, 70 + seed)
         config = smc.SmcConfig(n_particles=400, seed=seed)
         target.eta1 = smc.initial_distribution(target, config)
-        plain = dataclasses.replace(target, log_target_screened_batch=None)
+        def unscreened(vmat, grad=False, states=None, fails=None):
+            values, extra = target.evaluate(vmat, grad)
+            return values, (extra if grad else None)
 
-        def first_bound_only(vmat, states, fails):
+        plain = dataclasses.replace(target, evaluate=unscreened)
+
+        def first_bound_only(vmat, grad=False, states=None, fails=None):
             # the test acts on the bound before the first group only
             tested = []
 
@@ -571,9 +607,9 @@ class TestEarlyRejection:
                 tested.append(rows.size)
                 return fails(rows, bound) if len(tested) == 1 else np.zeros(rows.size, bool)
 
-            return target.log_target_screened_batch(vmat, states, fails and once)
+            return target.evaluate(vmat, grad, states, fails and once)
 
-        one_bound = dataclasses.replace(target, log_target_screened_batch=first_bound_only)
+        one_bound = dataclasses.replace(target, evaluate=first_bound_only)
         points = []
         group_sums = models._group_sums
 
@@ -675,16 +711,19 @@ class TestEarlyRejection:
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         evaluated = []
 
-        def screened_batch(vmat, states, fails):
+        evaluate = target.evaluate
+
+        def screened_batch(vmat, grad=False, states=None, fails=None):
+            # records the rows that the MH move's screened calls evaluate
             rows = np.arange(vmat.shape[0])
             if states is not None and fails is not None:
                 rows = rows[~fails(rows, np.where(np.isnan(states[rows, 0]), np.nan, -np.inf))]
-            evaluated.extend(vmat[rows, 0])
+                evaluated.extend(vmat[rows, 0])
             out = np.full(vmat.shape[0], -np.inf)
-            out[rows] = target.log_target_batch(vmat[rows])
+            out[rows] = evaluate(vmat[rows])[0]
             return out, np.zeros((vmat.shape[0], 1))
 
-        target.log_target_screened_batch = screened_batch
+        target.evaluate = screened_batch
         x = np.arange(6.0)[:, None]
         sys = make_system(target, np.full(6, -math.log(6)), x, rho=0.5)
         sys.tangent = np.zeros((6, 1))
@@ -817,7 +856,7 @@ class TestLaplaceInit:
 
     def test_target_without_gradient_rejected(self):
         # no finite-difference fallback: initial_distribution takes the pilot
-        target = smc.TargetModel(dim=1, log_target_batch=lambda vmat: -0.5 * vmat[:, 0] ** 2)
+        target = smc.TargetModel(dim=1, evaluate=value_only(lambda vmat: -0.5 * vmat[:, 0] ** 2))
         with pytest.raises(InitializationError, match="no gradient"):
             smc.laplace_init(target, np.zeros(1))
 
@@ -865,7 +904,7 @@ class TestLaplaceInit:
         point at a time."""
 
         def value_grad(v):
-            val, grad = target.log_target_grad_batch(v[None])
+            val, grad = target.evaluate(v[None], True)
             return val[0], grad[0]
 
         def neg(v):
@@ -915,21 +954,16 @@ class TestLaplaceInit:
     def test_one_batch_per_gradient_and_for_the_hessian(self):
         target = self._target("p1-d1")
         dim = target.dim
-        batch, grad_batch = target.log_target_batch, target.log_target_grad_batch
+        evaluate = target.evaluate
         rows, grad_rows = [], []
 
-        def counted(vmat):
-            rows.append(vmat.shape[0])
-            return batch(vmat)
+        def counted(vmat, grad=False, *args):
+            (grad_rows if grad else rows).append(vmat.shape[0])
+            return evaluate(vmat, grad, *args)
 
-        def grad_counted(vmat):
-            grad_rows.append(vmat.shape[0])
-            return grad_batch(vmat)
-
-        target.log_target_batch = counted
-        target.log_target_grad_batch = grad_counted
+        target.evaluate = counted
         smc.laplace_init(target, target.default_start)
-        target.log_target_batch, target.log_target_grad_batch = batch, grad_batch
+        target.evaluate = evaluate
         res, _ = self._scalar_reference(target, target.default_start, 1.0)
         # one-row value and gradient calls for the start check and for BFGS,
         # whose first call reuses the start check's, and the 2 dim points of
@@ -1002,6 +1036,20 @@ class TestInitialDistribution:
         assert eta.mean.tobytes() == ref.mean.tobytes()
         assert eta.cov.tobytes() == ref.cov.tobytes()
 
+    def test_pilot_for_a_target_without_gradient(self, pilot_runs):
+        # nothing is patched: the hook itself raises for want of a gradient
+        target = smc.TargetModel(
+            dim=1, evaluate=value_only(lambda vmat: -0.5 * (vmat[:, 0] - 2.0) ** 2)
+        )
+        config = smc.SmcConfig(seed=5, eta1_inflation=3.0, pilot_iterations=2000)
+        eta = smc.initial_distribution(target, config)
+        assert pilot_runs == [2000]
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0xE7A1]))
+        ref = smc.pilot_mh_init(target, 2000, rng, inflate=3.0)
+        assert eta.mean.tobytes() == ref.mean.tobytes()
+        assert eta.cov.tobytes() == ref.cov.tobytes()
+        assert abs(eta.mean[0] - 2.0) < 0.5
+
     def test_other_errors_propagate(self, pilot_runs, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not a package error")
@@ -1073,7 +1121,7 @@ class TestBatchConsistency:
 
     def _check(self, target, log_post, vmat):
         with np.errstate(all="ignore"):
-            batch = target.log_target_batch(vmat)
+            batch = target.evaluate(vmat)[0]
         oracle = []
         for v in vmat:
             try:
@@ -1184,8 +1232,8 @@ class TestBatchConsistency:
         # the start takes a unit outcome variance where no row is selected
         assert np.isfinite(target.default_start).all()
         assert np.isfinite(target.log_target(target.default_start))
-        value, grad = target.log_target_grad_batch(vmat)
-        assert np.array_equal(value, target.log_target_batch(vmat))
+        value, grad = target.evaluate(vmat, True)
+        assert np.array_equal(value, target.evaluate(vmat)[0])
         assert np.isfinite(grad).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1235,7 +1283,7 @@ class TestBatchConsistency:
         # gradient is the value without one
         perm = rng.permutation(vmat.shape[0])
         chunks = [vmat[i : i + 7] for i in range(0, vmat.shape[0], 7)]
-        for evaluate in (target.log_target_batch, lambda v: target.log_target_grad_batch(v)[1]):
+        for evaluate in (lambda v: target.evaluate(v)[0], lambda v: target.evaluate(v, True)[1]):
             whole = evaluate(vmat)
             permuted = np.empty_like(whole)
             permuted[perm] = evaluate(vmat[perm])
@@ -1246,7 +1294,8 @@ class TestBatchConsistency:
                 assert whole.tobytes() == other.tobytes()
         values = target.log_target_many(vmat)
         assert values.tobytes() == target.log_target_grad_many(vmat)[0].tobytes()
-        assert values.tobytes() == target.log_target_batch(vmat).tobytes()
+        assert values.tobytes() == target.evaluate(vmat)[0].tobytes()
+        assert values.tobytes() == target.log_target_screened_many(vmat)[0].tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model", ["p1", "p2", "gaussian", "esnsm", "tobit2"])
@@ -1426,7 +1475,7 @@ class TestBatchConsistency:
     def _assert_gradient_matches_differences(self, target, vmat):
         """The analytic gradient of every row against central differences:
         |g - fd| <= 1e-6 (|g| + 1) per entry."""
-        values, grads = target.log_target_grad_batch(vmat)
+        values, grads = target.evaluate(vmat, True)
         assert values.tobytes() == target.log_target_many(vmat).tobytes()
         assert np.isfinite(grads).all()
         for v, g in zip(vmat, grads):
@@ -1454,7 +1503,7 @@ class TestBatchConsistency:
         # does, with a relative rounding error up to about 1e-4, so the
         # differences need a wide step and the entries are compared with the
         # largest one
-        grads = target.log_target_grad_batch(vmat[:4])[1]
+        grads = target.evaluate(vmat[:4], True)[1]
         assert np.isfinite(grads).all()
         for v, g in zip(vmat[:4], grads):
             fd = self._central_differences(target, v, 1e-2)
