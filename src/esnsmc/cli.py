@@ -62,12 +62,6 @@ def _flag(val) -> bool:
     return _of(val, bool, "a boolean")
 
 
-def _pair(val) -> tuple[float, float]:
-    if len(_of(val, list, "a list")) != 2:
-        raise ValueError("not two numbers")
-    return _number(val[0]), _number(val[1])
-
-
 def _indices(val) -> list[int]:
     return [_of(t, int, "an integer") for t in _of(val, list, "a list")]
 
@@ -104,8 +98,7 @@ _KIND_KEYS = (  # each JSON kind, and the config keys of that kind
     (lambda val: _whole(val, 0), ("seed",)),
     (lambda val: _whole(val, 1), ("n",)),
     (_whole, ("particles", "mh_steps", "pilot_iterations", "covariate_index")),
-    (_number, ("ess_threshold_fraction", "bisect_epsilon", "scale_init", "eta1_inflation")),
-    (_pair, ("acceptance_band",)),
+    (_number, ("ess_threshold_fraction",)),
     (_indices, ("outcome_terms", "select_terms")),
     (lambda val: _object(val, _number), ("truth",)),
     (lambda val: _object(val, _array), ("params", "hyper")),
@@ -207,8 +200,9 @@ def write_iid_csv(path: str, data: np.ndarray) -> None:
 
 
 def _read_csv(path: str, what: str):
-    """Header and non-empty rows of a CSV file; a missing file, or one with
-    no header or no rows, is a data error."""
+    """Header and non-empty rows of a CSV file; a missing file, one with no
+    header or no rows, or a row whose width is not the header's is a data
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -220,12 +214,14 @@ def _read_csv(path: str, what: str):
         raise DataError(f"{what} is empty") from exc
     if not rows:
         raise DataError(f"{what} has no data rows")
+    ragged = next((row for row in rows if len(row) != len(header)), None)
+    if ragged is not None:
+        raise DataError(f"{what} has a row of {len(ragged)} fields under {len(header)} columns")
     return header, rows
 
 
 def _matrix(rows, what: str) -> np.ndarray:
-    """The float matrix of CSV rows; a non-number or a ragged row is a
-    data error."""
+    """The float matrix of CSV rows; a non-number is a data error."""
     try:
         return np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
@@ -255,19 +251,20 @@ def write_esnsm_csv(path: str, data: esnsm.EsnsmData) -> None:
 
 
 def read_esnsm_csv(path: str) -> esnsm.EsnsmData:
+    """A selection dataset: x columns, then ``s``, then y columns."""
     header, rows = _read_csv(path, "dataset")
-    xs = [h for h in header if h.startswith("x")]
-    ys = [h for h in header if h.startswith("y")]
-    if "s" not in header or not xs or not ys:
+    s_col = header.index("s") if "s" in header else 0
+    xs, ys = header[:s_col], header[s_col + 1 :]
+    if not (xs and ys and all(h.startswith("x") for h in xs)
+            and all(h.startswith("y") for h in ys)):
         raise DataError(f"unexpected selection-data header: {header}")
-    s_col = header.index("s")
     try:
-        x = np.array([[float(v) for v in row[: len(xs)]] for row in rows])
+        x = np.array([[float(v) for v in row[:s_col]] for row in rows])
         s = np.array([int(row[s_col]) for row in rows])
         y = np.array(
             [[float(v) if v != "" else np.nan for v in row[s_col + 1 :]] for row in rows]
         )
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise DataError(f"malformed dataset: {exc}") from exc
     return esnsm.EsnsmData(x, s, y)
 
@@ -287,14 +284,8 @@ def _emit(cfg: dict, payload: dict) -> None:
 
 
 def _stage_log(result: smc.SmcResult) -> list[dict]:
-    """Stage records for the emitted JSON; wall-clock timings are dropped so
-    identical seeds produce identical bytes."""
-    out = []
-    for rec in result.diagnostics:
-        d = asdict(rec)
-        d.pop("wall_time_ms")
-        out.append(d)
-    return out
+    """Stage records for the emitted JSON."""
+    return [asdict(rec) for rec in result.diagnostics]
 
 
 def _smc_config(cfg: dict) -> smc.SmcConfig:

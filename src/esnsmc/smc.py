@@ -20,8 +20,7 @@ bridge density and the evidence bookkeeping.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,6 +49,10 @@ __all__ = [
 ]
 
 _MAX_STAGES = 20_000  # a ladder this long means tempering has stalled
+_BISECT_EPSILON = 1e-4  # width of the temperature bracket, and the least step
+_ACCEPTANCE_BAND = (0.2, 0.6)  # the MH scale halves below it and doubles above
+_SCALE_INIT = 2.38**2  # the MH scale of the first stage, times dim
+_ETA1_INFLATION = 4.0  # scales the covariance of eta1
 
 
 def _identity(v):
@@ -173,7 +176,6 @@ class StageRecord:
     acceptance_rate: float
     scale: float
     log_evidence_increment: float
-    wall_time_ms: float
 
 
 @dataclass
@@ -192,8 +194,6 @@ class ParticleSystem:
     log_eta: np.ndarray
     tangent: Optional[np.ndarray] = None
     rho: float = 0.0
-    log_evidence_acc: float = 0.0
-    history: list[StageRecord] = field(default_factory=list)
     scale: float = 1.0
     last_acceptance: float = 0.0
 
@@ -212,11 +212,7 @@ class SmcConfig:
     n_particles: int = 10_000
     ess_threshold_fraction: float = 0.5
     mh_steps: int = 3
-    bisect_epsilon: float = 1e-4
-    scale_init: Optional[float] = None  # 2.38^2 / dim when unset
-    acceptance_band: tuple[float, float] = (0.2, 0.6)
     seed: int = 0
-    eta1_inflation: float = 4.0  # scales the covariance of eta1
     pilot_iterations: int = 10_000  # length of the fallback pilot chain
 
     def __post_init__(self):
@@ -224,15 +220,6 @@ class SmcConfig:
             raise ValueError("ess_threshold_fraction must be in (0, 1)")
         if self.n_particles < 2 or self.mh_steps < 1:
             raise ValueError("need at least 2 particles and 1 MH step")
-        if self.bisect_epsilon <= 0.0:
-            raise ValueError("bisect_epsilon must be positive")
-        lo, hi = self.acceptance_band
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("acceptance_band must satisfy 0 <= lo < hi <= 1")
-        if self.scale_init is not None and not 0.0 < self.scale_init < math.inf:
-            raise ValueError("scale_init must be positive and finite")
-        if not 0.0 < self.eta1_inflation < math.inf:
-            raise ValueError("eta1_inflation must be positive and finite")
         if self.pilot_iterations < 1000:
             raise ValueError("pilot_iterations must be at least 1000")
 
@@ -276,8 +263,8 @@ def next_temperature(system: ParticleSystem, config: SmcConfig) -> float:
 
     Returns 1 outright when the full step keeps the effective sample size
     at or above the threshold; otherwise bisects ESS(rho) = beta on
-    [rho, 1] down to a bracket narrower than bisect_epsilon and returns
-    its midpoint (never less than rho + bisect_epsilon, so the ladder
+    [rho, 1] down to a bracket narrower than ``_BISECT_EPSILON`` and returns
+    its midpoint (never less than rho + ``_BISECT_EPSILON``, so the ladder
     always advances).
     """
     if system.rho >= 1.0:
@@ -291,14 +278,14 @@ def next_temperature(system: ParticleSystem, config: SmcConfig) -> float:
     if ess_at(1.0) >= beta:
         return 1.0
     lo, hi = system.rho, 1.0
-    while hi - lo >= config.bisect_epsilon:
+    while hi - lo >= _BISECT_EPSILON:
         mid = 0.5 * (lo + hi)
         if ess_at(mid) >= beta:
             lo = mid
         else:
             hi = mid
     rho_star = 0.5 * (lo + hi)
-    return min(1.0, max(rho_star, system.rho + config.bisect_epsilon))
+    return min(1.0, max(rho_star, system.rho + _BISECT_EPSILON))
 
 
 def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
@@ -421,20 +408,20 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
         log_eta=eta.logpdf_batch(particles),
         tangent=tangent,
         rho=0.0,
-        scale=config.scale_init if config.scale_init is not None else 2.38**2 / target.dim,
+        scale=_SCALE_INIT / target.dim,
     )
-
+    log_evidence = 0.0
+    history: list[StageRecord] = []
     while system.rho < 1.0:
-        if len(system.history) >= _MAX_STAGES:
+        if len(history) >= _MAX_STAGES:
             raise NumericalError(
                 f"tempering failed to reach rho = 1 in {_MAX_STAGES} stages; "
                 f"stalled at rho = {system.rho:.6f}"
             )
-        t0 = time.perf_counter()
         srng = np.random.default_rng(ss.spawn(1)[0])
         rho_new = next_temperature(system, config)
         increment = evidence_increment(system, system.rho, rho_new)
-        system.log_evidence_acc += increment
+        log_evidence += increment
         lw_new = reweight(system, rho_new)
         stage_ess = ess(lw_new)
 
@@ -450,27 +437,22 @@ def run(target: TargetModel, config: SmcConfig) -> SmcResult:
 
         rwmh_propagate(system, target, rho_new, cov, config, srng)
         acc = system.last_acceptance
-        system.history.append(
+        history.append(
             StageRecord(
                 rho=rho_new,
                 ess=stage_ess,
                 acceptance_rate=acc,
                 scale=system.scale,
                 log_evidence_increment=increment,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        lo, hi = config.acceptance_band
+        lo, hi = _ACCEPTANCE_BAND
         if acc > hi:
             system.scale *= 2.0
         elif acc < lo:
             system.scale *= 0.5
 
-    return SmcResult(
-        system=system,
-        log_evidence=system.log_evidence_acc,
-        diagnostics=system.history,
-    )
+    return SmcResult(system=system, log_evidence=log_evidence, diagnostics=history)
 
 
 def _gradient_hessian(target: TargetModel, x, step=1e-5):
@@ -505,7 +487,7 @@ def _cov_from_precision(prec: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return (eigvec / eigval) @ eigvec.T
 
 
-def laplace_init(target: TargetModel, start, inflate: float = 1.0) -> GaussianInit:
+def laplace_init(target: TargetModel, start) -> GaussianInit:
     """Gaussian initial distribution from a Laplace approximation:
     BFGS ascent to the posterior mode on the target's analytic gradient,
     one row per evaluation, then the inverse of the negated Hessian, taken
@@ -513,11 +495,6 @@ def laplace_init(target: TargetModel, start, inflate: float = 1.0) -> GaussianIn
     eigenvalue-floored against round-off.  Raises ``InitializationError``
     when the target has no gradient, when the mode cannot be found or when
     the curvature there is not finite and positive definite.
-
-    ``inflate`` scales the covariance; values above 1 overdisperse the
-    initial distribution, which costs a few extra tempering stages but
-    protects the sampler when the posterior has heavy ridges the local
-    curvature cannot see.
     """
     start = np.asarray(start, dtype=float)
     first = {start.tobytes(): target.log_target_grad_many(start[None])}
@@ -541,22 +518,19 @@ def laplace_init(target: TargetModel, start, inflate: float = 1.0) -> GaussianIn
     mode = res.x
     cov = _cov_from_precision(-_gradient_hessian(target, mode))
     try:
-        return GaussianInit(mode, inflate * cov)
+        return GaussianInit(mode, cov)
     except np.linalg.LinAlgError as exc:
         raise InitializationError(f"Laplace covariance is not usable: {exc}") from exc
 
 
-def pilot_mh_init(
-    target: TargetModel, iterations: int, rng: np.random.Generator, inflate: float = 1.0
-) -> GaussianInit:
+def pilot_mh_init(target: TargetModel, iterations: int, rng: np.random.Generator) -> GaussianInit:
     """Gaussian initial distribution from a pilot random-walk MH run from
     the target's default start (the origin where it has none), with a step
     of 0.1 at first.
 
     The first half of the chain is burn-in (with multiplicative step-size
     adaptation towards the acceptance band); the second half supplies the
-    mean and covariance, the latter scaled by ``inflate``.  Raises when
-    nothing is ever accepted.
+    mean and covariance.  Raises when nothing is ever accepted.
     """
     if iterations < 1000:
         raise ValueError("pilot run needs at least 1000 iterations")
@@ -591,16 +565,20 @@ def pilot_mh_init(
     tail = chain[burn:]
     mean = tail.mean(axis=0)
     cov = _spd_floor(np.atleast_2d(np.cov(tail.T, ddof=1)))
-    return GaussianInit(mean, inflate * cov)
+    return GaussianInit(mean, cov)
 
 
 def initial_distribution(target: TargetModel, config: SmcConfig) -> GaussianInit:
     """eta1 for ``run``: the Laplace approximation from the target's default
-    start, its covariance scaled by ``config.eta1_inflation``; if that raises
-    an ``EsnError`` (a target without a gradient does), a pilot MH chain of
-    ``config.pilot_iterations`` steps."""
+    start or, if that raises an ``EsnError`` (a target without a gradient
+    does), a pilot MH chain of ``config.pilot_iterations`` steps; either
+    fit with its covariance scaled by ``_ETA1_INFLATION``.  The inflation
+    overdisperses eta1, which costs a few extra tempering stages but
+    protects the sampler when the posterior has heavy ridges the local
+    curvature cannot see."""
     try:
-        return laplace_init(target, target.default_start, inflate=config.eta1_inflation)
+        eta = laplace_init(target, target.default_start)
     except EsnError:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE7A1]))
-        return pilot_mh_init(target, config.pilot_iterations, rng, inflate=config.eta1_inflation)
+        eta = pilot_mh_init(target, config.pilot_iterations, rng)
+    return GaussianInit(eta.mean, _ETA1_INFLATION * eta.cov)

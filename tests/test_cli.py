@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -306,6 +307,20 @@ class TestCompare:
         assert classify_bayes_factor(-5.0, -5.0).category == "poor"
 
 
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_emitted_stage_keys_are_the_record_fields_and_the_schema(esn_dataset, tmp_path, command):
+    out = tmp_path / "out.json"
+    cfg = {"model": "esn-p1", "seed": 11, "input": str(esn_dataset), "particles": 200,
+           "output": str(out)}
+    assert run_cli([command, "--config", write_config(tmp_path / "run.cfg", cfg)]) == 0
+    stages = json.loads(out.read_text())["stages"]
+    item = cli.load_schema(f"{command}.schema.json")["properties"]["stages"]["items"]
+    names = [f.name for f in dataclasses.fields(smc.StageRecord)]
+    assert stages and all(list(stage) == names for stage in stages)
+    assert list(item["properties"]) == names
+    assert sorted(item["required"]) == sorted(names)
+
+
 class TestMarginalEffects:
     def test_me_pipeline(self, tmp_path):
         data_path = tmp_path / "sel.csv"
@@ -463,6 +478,21 @@ class TestErrorPaths:
             pytest.param("fit", "esnsm", "x1,x2,x3,s,y1\n1,0.5,0.2\n", None, id="short-selection"),
             pytest.param("me", "esnsm", None, "", id="empty-particle-dump"),
             pytest.param("me", "esnsm", None, "beta1_0,sigma1\n", id="header-only-particle-dump"),
+            # rows wider than the header, and a column that is neither x, s nor y
+            pytest.param("fit", "esn-p1", "y1\n1.0,2.0\n3.0,-1.0\n0.5,0.25\n2.5,4.0\n", None,
+                         id="wide-iid"),
+            pytest.param(
+                "me", "esnsm", "x1,x2,s,y1,z9\n1.0,0.5,1,2.0,3.0\n1.0,-0.5,0,,\n1.0,0.2,1,1.0,0.5\n",
+                "beta1_0,beta1_1,beta2_0,beta2_1,sigma1,sigma12,alpha1,alpha2,lambda\n"
+                "3.0,-2.0,1.5,2.0,6.0,0.7,2.0,1.0,-2.0\n",
+                id="foreign-column-selection",
+            ),
+            pytest.param(
+                "me", "esnsm", None,
+                "beta1_0,beta1_1,beta1_2,beta2_0,beta2_1,beta2_2,sigma1,sigma12,alpha1,alpha2,lambda\n"
+                "3.0,-2.0,0.0,1.5,0.0,2.0,6.0,0.7,2.0,1.0,-2.0,9.0\n",
+                id="wide-particle-dump",
+            ),
         ],
     )
     def test_malformed_dataset_is_data_error(self, tmp_path, command, model, dataset, dump):
@@ -484,10 +514,6 @@ class TestErrorPaths:
             ("fit", {"particles": "many"}),
             ("fit", {"mh_steps": 0}),
             ("fit", {"ess_threshold_fraction": 1.5}),
-            ("fit", {"acceptance_band": 0.3}),
-            ("fit", {"scale_init": "x"}),
-            ("fit", {"scale_init": 0}),
-            ("fit", {"eta1_inflation": -1}),
             ("fit", {"model": "esnsm", "pilot_iterations": 10}),
             ("me", {"covariate_index": "two"}),
             ("simulate", {"n": "ten"}),
@@ -509,8 +535,6 @@ class TestErrorPaths:
             ("fit", {"particles": 200.7}),
             ("fit", {"mh_steps": 2.9}),
             ("fit", {"pilot_iterations": 1500.5}),
-            ("fit", {"scale_init": True}),
-            ("fit", {"acceptance_band": [0.2, 0.6, 0.9]}),
             ("me", {"covariate_index": 1.5}),
             ("simulate", {"n": 10.5}),
             ("simulate", {"covariates": {"n_covariates": 2.5}}),
@@ -525,6 +549,13 @@ class TestErrorPaths:
             ("fit", {"truth": None}),
             ("fit", {"dump_particles": False}),
             ("fit", {"hyper": {"d": 3}}),
+            # former sampler settings, now constants: unknown keys
+            ("fit", {"acceptance_band": 0.3}),
+            ("fit", {"acceptance_band": [0.2, 0.6, 0.9]}),
+            ("fit", {"scale_init": "x"}),
+            ("fit", {"scale_init": 0}),
+            ("fit", {"scale_init": True}),
+            ("fit", {"eta1_inflation": -1}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -673,16 +704,20 @@ WRONG_KIND = {
     "pilot_iterations": None,
     "covariate_index": "2",
     "ess_threshold_fraction": "0.5",
-    "bisect_epsilon": True,
-    "scale_init": [1.0],
-    "eta1_inflation": {"x": 4.0},
-    "acceptance_band": [0.2, "0.6"],
     "outcome_terms": [0, 1.0],
     "select_terms": [True, 1],
     "truth": {"xi": "2"},
     "params": {"xi": "2.0"},
     "hyper": {"V": [["12"]]},
     "covariates": {"intercept": "false"},
+}
+# Former sampler settings, now constants of ``smc``: a config that sets one,
+# even to the value the sampler uses, is rejected as an unknown key.
+REMOVED_KEYS = {
+    "bisect_epsilon": 1e-4,
+    "scale_init": 2.38**2,
+    "eta1_inflation": 4.0,
+    "acceptance_band": [0.2, 0.6],
 }
 
 
@@ -691,8 +726,8 @@ class TestConfigTable:
         assert set(WRONG_KIND) == set(cli._KINDS)
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "compare", "me"])
-    @pytest.mark.parametrize("key", sorted(WRONG_KIND))
-    def test_wrong_kind_exits_2_before_any_file_is_read(self, tmp_path, command, key):
+    @pytest.mark.parametrize("key", sorted(WRONG_KIND.keys() | REMOVED_KEYS.keys()))
+    def test_wrong_kind_exits_2_before_any_file_is_read(self, tmp_path, capsys, command, key):
         out = tmp_path / "out.csv"
         cfg = {"model": "esn-p1", "seed": 1, "input": str(tmp_path / "absent.csv")}
         if command == "simulate":
@@ -700,9 +735,11 @@ class TestConfigTable:
                        output=str(out))
         elif command == "me":
             cfg.update(model="esnsm", particle_dump=str(tmp_path / "absent_dump.csv"))
-        cfg[key] = WRONG_KIND[key]
+        cfg[key] = WRONG_KIND[key] if key in WRONG_KIND else REMOVED_KEYS[key]
         assert run_cli([command, "--config", write_config(tmp_path / "bad.cfg", cfg)]) == 2
         assert not out.exists()
+        if key in REMOVED_KEYS:
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_readme_example_configs_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -138,7 +138,7 @@ class TestNextTemperature:
         cfg = smc.SmcConfig(n_particles=16, seed=0)
         assert smc.next_temperature(sys, cfg) == 1.0
 
-    def test_two_particle_closed_form_root(self):
+    def test_two_particle_closed_form_root(self, monkeypatch):
         # two particles with log-ratio gap D: ESS(rho) = (1+t)^2/(1+t^2),
         # t = exp(rho D); ESS = beta solves t = (1 + sqrt(1-(beta-1)^2))/(beta-1)
         gap = 3.0
@@ -148,8 +148,8 @@ class TestNextTemperature:
         sys = make_system(target, np.full(2, -math.log(2)), np.zeros((2, 1)))
         sys.log_pi = np.array([0.0, gap])
         sys.log_eta = np.array([0.0, 0.0])
-        cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=beta_frac, seed=0,
-                            bisect_epsilon=1e-6)
+        cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=beta_frac, seed=0)
+        monkeypatch.setattr(smc, "_BISECT_EPSILON", 1e-6)
         beta = 2 * beta_frac
         t_root = (1.0 + math.sqrt(1.0 - (beta - 1.0) ** 2)) / (beta - 1.0)
         rho_expected = math.log(t_root) / gap
@@ -158,14 +158,13 @@ class TestNextTemperature:
 
     def test_minimum_advance(self):
         # enormous ratio gap: the bisection collapses to rho, but the ladder
-        # must still advance by at least bisect_epsilon
+        # must still advance by at least the bisection width, 1e-4
         target = gaussian_target()
         target.eta1 = smc.GaussianInit(np.zeros(1), np.eye(1))
         sys = make_system(target, np.full(2, -math.log(2)), np.zeros((2, 1)))
         sys.log_pi = np.array([0.0, 1e8])
         sys.log_eta = np.array([0.0, 0.0])
-        cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=0.75, seed=0,
-                            bisect_epsilon=1e-4)
+        cfg = smc.SmcConfig(n_particles=2, ess_threshold_fraction=0.75, seed=0)
         got = smc.next_temperature(sys, cfg)
         assert got == pytest.approx(sys.rho + 1e-4)
 
@@ -845,9 +844,10 @@ class TestLaplaceInit:
 
     def test_inflation_scales_covariance(self):
         target = gaussian_target(dim=1, mean=0.0, var=1.0)
-        base = smc.laplace_init(target, np.zeros(1), inflate=1.0)
-        wide = smc.laplace_init(target, np.zeros(1), inflate=4.0)
-        assert wide.cov[0, 0] == pytest.approx(4.0 * base.cov[0, 0], rel=1e-10)
+        target.default_start = np.zeros(1)
+        base = smc.laplace_init(target, target.default_start)
+        wide = smc.initial_distribution(target, smc.SmcConfig())
+        assert wide.cov.tobytes() == (4.0 * base.cov).tobytes()
 
     def test_infinite_start_rejected(self):
         target = with_gradient(1, lambda vmat: np.full(len(vmat), -np.inf), np.zeros_like)
@@ -898,7 +898,7 @@ class TestLaplaceInit:
                     pass
 
     @staticmethod
-    def _scalar_reference(target, start, inflate):
+    def _scalar_reference(target, start):
         """The initialiser with one-row calls throughout: scipy's BFGS on
         one-row value and gradient calls, then the gradient stencil one
         point at a time."""
@@ -922,7 +922,7 @@ class TestLaplaceInit:
             step = np.zeros(d)
             step[i] = h[i]
             hess[i] = (value_grad(x + step)[1] - value_grad(x - step)[1]) / (2.0 * h[i])
-        return res, inflate * smc._cov_from_precision(-0.5 * (hess + hess.T))
+        return res, smc._cov_from_precision(-0.5 * (hess + hess.T))
 
     @staticmethod
     def _target(model):
@@ -946,10 +946,10 @@ class TestLaplaceInit:
     @pytest.mark.parametrize("model", ["esnsm", "p1-d1", "p1-d2"])
     def test_batched_equals_scalar_reference(self, model):
         target = self._target(model)
-        eta = smc.laplace_init(target, target.default_start, inflate=4.0)
-        res, cov = self._scalar_reference(target, target.default_start, 4.0)
+        eta = smc.initial_distribution(target, smc.SmcConfig())
+        res, cov = self._scalar_reference(target, target.default_start)
         assert eta.mean.tobytes() == res.x.tobytes()
-        assert eta.cov.tobytes() == cov.tobytes()
+        assert eta.cov.tobytes() == (4.0 * cov).tobytes()
 
     def test_one_batch_per_gradient_and_for_the_hessian(self):
         target = self._target("p1-d1")
@@ -964,7 +964,7 @@ class TestLaplaceInit:
         target.evaluate = counted
         smc.laplace_init(target, target.default_start)
         target.evaluate = evaluate
-        res, _ = self._scalar_reference(target, target.default_start, 1.0)
+        res, _ = self._scalar_reference(target, target.default_start)
         # one-row value and gradient calls for the start check and for BFGS,
         # whose first call reuses the start check's, and the 2 dim points of
         # the gradient stencil as the last batch
@@ -1006,20 +1006,20 @@ class TestInitialDistribution:
     def pilot_runs(self, monkeypatch):
         runs, real = [], smc.pilot_mh_init
 
-        def pilot(target, iterations, rng, **kwargs):
+        def pilot(target, iterations, rng):
             runs.append(iterations)
-            return real(target, iterations, rng, **kwargs)
+            return real(target, iterations, rng)
 
         monkeypatch.setattr(smc, "pilot_mh_init", pilot)
         return runs
 
     def test_laplace_when_it_succeeds(self, pilot_runs):
         target = self._target()
-        config = smc.SmcConfig(seed=5, eta1_inflation=3.0)
+        config = smc.SmcConfig(seed=5)
         eta = smc.initial_distribution(target, config)
-        ref = smc.laplace_init(target, target.default_start, inflate=3.0)
+        ref = smc.laplace_init(target, target.default_start)
         assert eta.mean.tobytes() == ref.mean.tobytes()
-        assert eta.cov.tobytes() == ref.cov.tobytes()
+        assert eta.cov.tobytes() == (4.0 * ref.cov).tobytes()
         assert pilot_runs == []
 
     def test_pilot_when_laplace_fails(self, pilot_runs, monkeypatch):
@@ -1027,27 +1027,27 @@ class TestInitialDistribution:
             raise InitializationError("no mode")
 
         target = self._target()
-        config = smc.SmcConfig(seed=5, eta1_inflation=3.0, pilot_iterations=1200)
+        config = smc.SmcConfig(seed=5, pilot_iterations=1200)
         monkeypatch.setattr(smc, "laplace_init", fail)
         eta = smc.initial_distribution(target, config)
         assert pilot_runs == [1200]
         rng = np.random.default_rng(np.random.SeedSequence([5, 0xE7A1]))
-        ref = smc.pilot_mh_init(target, 1200, rng, inflate=3.0)
+        ref = smc.pilot_mh_init(target, 1200, rng)
         assert eta.mean.tobytes() == ref.mean.tobytes()
-        assert eta.cov.tobytes() == ref.cov.tobytes()
+        assert eta.cov.tobytes() == (4.0 * ref.cov).tobytes()
 
     def test_pilot_for_a_target_without_gradient(self, pilot_runs):
         # nothing is patched: the hook itself raises for want of a gradient
         target = smc.TargetModel(
             dim=1, evaluate=value_only(lambda vmat: -0.5 * (vmat[:, 0] - 2.0) ** 2)
         )
-        config = smc.SmcConfig(seed=5, eta1_inflation=3.0, pilot_iterations=2000)
+        config = smc.SmcConfig(seed=5, pilot_iterations=2000)
         eta = smc.initial_distribution(target, config)
         assert pilot_runs == [2000]
         rng = np.random.default_rng(np.random.SeedSequence([5, 0xE7A1]))
-        ref = smc.pilot_mh_init(target, 2000, rng, inflate=3.0)
+        ref = smc.pilot_mh_init(target, 2000, rng)
         assert eta.mean.tobytes() == ref.mean.tobytes()
-        assert eta.cov.tobytes() == ref.cov.tobytes()
+        assert eta.cov.tobytes() == (4.0 * ref.cov).tobytes()
         assert abs(eta.mean[0] - 2.0) < 0.5
 
     def test_other_errors_propagate(self, pilot_runs, monkeypatch):
@@ -1064,19 +1064,6 @@ class TestConfigValidation:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             smc.SmcConfig(ess_threshold_fraction=1.2)
-
-    def test_bad_band(self):
-        with pytest.raises(ValueError):
-            smc.SmcConfig(acceptance_band=(0.7, 0.3))
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            smc.SmcConfig(bisect_epsilon=0.0)
-
-    @pytest.mark.parametrize("inflation", [0.0, -1.0, math.inf])
-    def test_bad_inflation(self, inflation):
-        with pytest.raises(ValueError):
-            smc.SmcConfig(eta1_inflation=inflation)
 
     def test_short_pilot(self):
         smc.SmcConfig(pilot_iterations=1000)
