@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, ParameterDomainError, UnsupportedDimensionError
 from .normals import (
@@ -150,7 +149,7 @@ class MomentSummary:
 
 def _gauss_logpdf(u, chol):
     """log N(u; 0, LL') for rows of u, via the Cholesky factor."""
-    w = solve_triangular(chol, u.T, lower=True).T
+    w = np.linalg.solve(chol, u.T).T
     quad = np.sum(w * w, axis=-1)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     d = chol.shape[0]

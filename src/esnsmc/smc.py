@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .errors import DegenerateSystemError, EsnError, InitializationError, NumericalError
@@ -53,6 +52,13 @@ _BISECT_EPSILON = 1e-4  # width of the temperature bracket, and the least step
 _ACCEPTANCE_BAND = (0.2, 0.6)  # the MH scale halves below it and doubles above
 _SCALE_INIT = 2.38**2  # the MH scale of the first stage, times dim
 _ETA1_INFLATION = 4.0  # scales the covariance of eta1
+_BFGS_GTOL = 1e-5  # BFGS stops once no gradient entry exceeds this
+_BFGS_MAX_ITER = 500
+_ARMIJO = 1e-4  # sufficient-increase constant of the line search
+_EXPAND_SLOPE = 0.9  # an accepted first trial doubles while its slope keeps this share
+_MAX_TRIALS = 60  # line-search evaluations before an iteration gives up
+_NEWTON_TOL = 1e-10  # the polish stops at a step this small, relative to x
+_NEWTON_MAX_STEPS = 10
 
 
 def _identity(v):
@@ -487,36 +493,121 @@ def _cov_from_precision(prec: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return (eigvec / eigval) @ eigvec.T
 
 
+def _value_grad(target: TargetModel, v):
+    """The log target and its gradient at one point, by a one-row call; a
+    non-finite gradient counts as a value of -inf."""
+    val, grad = target.log_target_grad_many(v[None])
+    if not np.isfinite(grad).all():
+        return -math.inf, grad[0]
+    return val[0], grad[0]
+
+
+def _line_search(target: TargetModel, x, f, g, p, t):
+    """Backtracking Armijo search along the ascent direction p from step t.
+
+    A step into -inf halves; one that rises too little shrinks to the
+    quadratic interpolant's maximiser, kept within [0.1 t, 0.5 t].  A first
+    step that is accepted while the slope keeps ``_EXPAND_SLOPE`` of its
+    share doubles until the value stops rising.  Returns the new point,
+    value and gradient, or None when no step rises (the gradient is down to
+    its rounding)."""
+    slope = g @ p
+    if not slope > 0.0:
+        return None
+    for trial in range(_MAX_TRIALS):
+        x_new = x + t * p
+        f_new, g_new = _value_grad(target, x_new)
+        rise = f_new - f
+        if rise >= _ARMIJO * t * slope:
+            break
+        shrink = 0.5 if not math.isfinite(rise) else 0.5 * slope * t / (slope * t - rise)
+        t *= min(0.5, max(0.1, shrink))
+    else:
+        return None
+    if trial == 0:
+        for _ in range(_MAX_TRIALS):
+            if g_new @ p <= _EXPAND_SLOPE * slope:
+                break
+            t *= 2.0
+            x_far = x + t * p
+            f_far, g_far = _value_grad(target, x_far)
+            if not (f_far > f_new and f_far - f >= _ARMIJO * t * slope):
+                break
+            x_new, f_new, g_new = x_far, f_far, g_far
+    return x_new, f_new, g_new
+
+
+def _bfgs_ascent(target: TargetModel, x, f, g):
+    """BFGS ascent from x (value f, gradient g) to where no gradient entry
+    exceeds ``_BFGS_GTOL``, or to where no step rises any more.
+
+    The inverse of the negated Hessian starts as the identity, with a first
+    step of length at most 1, and is scaled by y's / y'y before its first
+    update (Shanno and Phua; Nocedal and Wright 2006, section 6.1); a pair
+    with y's <= 0 leaves it as it is."""
+    dim = x.shape[0]
+    inv = np.eye(dim)
+    scaled = False
+    for _ in range(_BFGS_MAX_ITER):
+        if np.max(np.abs(g)) <= _BFGS_GTOL:
+            return x, g
+        p = inv @ g
+        t = 1.0 if scaled else min(1.0, 1.0 / math.sqrt(p @ p))
+        step = _line_search(target, x, f, g, p, t)
+        if step is None:
+            return x, g
+        s, y = step[0] - x, g - step[2]
+        ys = y @ s
+        if ys > 0.0:
+            if not scaled:
+                inv *= ys / (y @ y)
+                scaled = True
+            v = np.eye(dim) - np.outer(s, y) / ys
+            inv = v @ inv @ v.T + np.outer(s, s) / ys
+        x, f, g = step
+    raise InitializationError(
+        f"posterior maximisation failed: no mode within {_BFGS_MAX_ITER} BFGS iterations"
+    )
+
+
+def _newton_polish(target: TargetModel, x, g):
+    """Newton steps on the gradient stencil's Hessian until a step is below
+    ``_NEWTON_TOL`` relative to x; returns the point after that step and the
+    covariance of the stencil before it.  The mode is then the gradient's
+    zero to within its rounding, wherever BFGS stopped; a curvature that is
+    not positive definite raises ``InitializationError``."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        cov = _cov_from_precision(-_gradient_hessian(target, x))
+        step = cov @ g
+        x = x + step
+        if np.all(np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x))):
+            return x, cov
+        f, g = _value_grad(target, x)
+        if not math.isfinite(f):
+            raise InitializationError("log posterior not finite on a Newton step from the mode")
+    raise InitializationError(
+        f"posterior maximisation failed: no Newton convergence in {_NEWTON_MAX_STEPS} steps"
+    )
+
+
 def laplace_init(target: TargetModel, start) -> GaussianInit:
-    """Gaussian initial distribution from a Laplace approximation:
-    BFGS ascent to the posterior mode on the target's analytic gradient,
-    one row per evaluation, then the inverse of the negated Hessian, taken
-    as central differences of the gradient in one batch of 2 dim rows and
-    eigenvalue-floored against round-off.  Raises ``InitializationError``
-    when the target has no gradient, when the mode cannot be found or when
-    the curvature there is not finite and positive definite.
+    """Gaussian initial distribution from a Laplace approximation.
+
+    BFGS climbs from the start on the target's analytic gradient, one row
+    per evaluation (``_bfgs_ascent``); Newton steps then polish the mode
+    (``_newton_polish``), each on the Hessian taken as central differences
+    of the gradient in one batch of 2 dim rows.  The covariance is the
+    inverse of the last stencil's negated Hessian, eigenvalue-floored
+    against round-off.  Raises ``InitializationError`` when the target has
+    no gradient, when the start is not finite, when the mode cannot be
+    found or when the curvature on the way is not finite and positive
+    definite.
     """
-    start = np.asarray(start, dtype=float)
-    first = {start.tobytes(): target.log_target_grad_many(start[None])}
-    if not math.isfinite(first[start.tobytes()][0][0]):
+    x = np.asarray(start, dtype=float)
+    f, g = _value_grad(target, x)
+    if not math.isfinite(f):
         raise InitializationError("log posterior not finite at the starting point")
-
-    def neg(v):
-        # BFGS starts at the start, whose evaluation is already at hand
-        val, grad = first.pop(v.tobytes(), None) or target.log_target_grad_many(v[None])
-        if not (math.isfinite(val[0]) and np.isfinite(grad).all()):
-            return 1e30, np.zeros_like(v)
-        return -val[0], -grad[0]
-
-    res = minimize(neg, start, jac=True, method="BFGS",
-                   options={"maxiter": 500, "gtol": 1e-5})
-    # BFGS can stop with a "precision loss" flag at a perfectly good mode
-    # when the gradient is down to its rounding: judge by the gradient
-    # scaled to the objective instead of the success flag.
-    if not (res.success or np.max(np.abs(res.jac)) < 1e-3 * (1.0 + abs(res.fun))):
-        raise InitializationError(f"posterior maximisation failed: {res.message}")
-    mode = res.x
-    cov = _cov_from_precision(-_gradient_hessian(target, mode))
+    mode, cov = _newton_polish(target, *_bfgs_ascent(target, x, f, g))
     try:
         return GaussianInit(mode, cov)
     except np.linalg.LinAlgError as exc:

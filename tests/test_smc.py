@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -897,32 +899,71 @@ class TestLaplaceInit:
                 except InitializationError:
                     pass
 
+    def test_line_search_steps_back_from_a_wall(self):
+        # the first step (length 1) lands beyond the wall at x = 0.8, where
+        # the target is -inf; the mode at 0.5 lies before it
+        walls = []
+
+        def batch(vmat):
+            x = vmat[:, 0]
+            walls.append(bool(np.any(x > 0.8)))
+            return np.where(x > 0.8, -np.inf, -5.0 * (x - 0.5) ** 2 - 0.1 * x**4)
+
+        target = with_gradient(1, batch, lambda vmat: -10.0 * (vmat - 0.5) - 0.4 * vmat**3)
+        eta = smc.laplace_init(target, np.zeros(1))
+        assert walls[1]  # the start, then the step past the wall
+        grid = np.linspace(0.4, 0.6, 200_001)
+        vals = -5.0 * (grid - 0.5) ** 2 - 0.1 * grid**4
+        assert eta.mean[0] == pytest.approx(grid[np.argmax(vals)], abs=1e-6)
+        assert eta.cov[0, 0] == pytest.approx(1.0 / (10.0 + 1.2 * eta.mean[0] ** 2), rel=1e-6)
+
+    def test_convex_start_climbs_to_a_concave_mode(self):
+        # -log(1 + x^2) - y^2 / 2 curves upwards in x where |x| > 1: the start
+        # is not in the concave region, the mode (0, 0) is
+        def value(vmat):
+            return -np.log1p(vmat[:, 0] ** 2) - 0.5 * vmat[:, 1] ** 2
+
+        def grad(vmat):
+            return np.column_stack([-2.0 * vmat[:, 0] / (1.0 + vmat[:, 0] ** 2), -vmat[:, 1]])
+
+        target = with_gradient(2, value, grad)
+        start = np.array([3.0, 1.0])
+        assert np.linalg.eigvalsh(smc._gradient_hessian(target, start))[-1] > 0.0
+        eta = smc.laplace_init(target, start)
+        assert np.max(np.abs(eta.mean)) < 1e-10
+        np.testing.assert_allclose(eta.cov, np.diag([0.5, 1.0]), rtol=1e-8)
+
     @staticmethod
-    def _scalar_reference(target, start):
-        """The initialiser with one-row calls throughout: scipy's BFGS on
-        one-row value and gradient calls, then the gradient stencil one
-        point at a time."""
+    def _scalar_reference(target, start, monkeypatch):
+        """The initialiser with one-row calls throughout: the same BFGS and
+        Newton polish, each Hessian from the gradient stencil one point at a
+        time.  Returns the mode, the covariance and the order of the calls:
+        1 for a one-row gradient call, "H" for a stencil."""
+        evaluate, calls = target.evaluate, []
 
-        def value_grad(v):
-            val, grad = target.evaluate(v[None], True)
-            return val[0], grad[0]
+        def one_row(vmat, grad=False, *args):
+            calls.append(vmat.shape[0])
+            return evaluate(vmat, grad, *args)
 
-        def neg(v):
-            val, grad = value_grad(v)
-            return -val, -grad
+        def scalar_stencil(target, x):
+            calls.append("H")
+            d = x.size
+            h = 1e-5 * np.maximum(1.0, np.abs(x))
+            hess = np.empty((d, d))
+            for i in range(d):
+                step = np.zeros(d)
+                step[i] = h[i]
+                hess[i] = (evaluate((x + step)[None], True)[1][0]
+                           - evaluate((x - step)[None], True)[1][0]) / (2.0 * h[i])
+            return 0.5 * (hess + hess.T)
 
-        res = minimize(neg, start, jac=True, method="BFGS",
-                       options={"maxiter": 500, "gtol": 1e-5})
-        # the cases below converge without the Nelder-Mead polish
-        assert res.success or np.max(np.abs(res.jac)) < 1e-3 * (1.0 + abs(res.fun))
-        x, d = res.x, res.x.size
-        h = 1e-5 * np.maximum(1.0, np.abs(x))
-        hess = np.empty((d, d))
-        for i in range(d):
-            step = np.zeros(d)
-            step[i] = h[i]
-            hess[i] = (value_grad(x + step)[1] - value_grad(x - step)[1]) / (2.0 * h[i])
-        return res, smc._cov_from_precision(-0.5 * (hess + hess.T))
+        with monkeypatch.context() as m:
+            m.setattr(target, "evaluate", one_row)
+            m.setattr(smc, "_gradient_hessian", scalar_stencil)
+            x = np.asarray(start, dtype=float)
+            mode, cov = smc._newton_polish(target, *smc._bfgs_ascent(
+                target, x, *smc._value_grad(target, x)))
+        return mode, cov, calls
 
     @staticmethod
     def _target(model):
@@ -944,14 +985,30 @@ class TestLaplaceInit:
         return models.make_iid_esn_target(z, priors.default_hyper(d)[0], "p1")
 
     @pytest.mark.parametrize("model", ["esnsm", "p1-d1", "p1-d2"])
-    def test_batched_equals_scalar_reference(self, model):
+    def test_batched_equals_scalar_reference(self, model, monkeypatch):
         target = self._target(model)
         eta = smc.initial_distribution(target, smc.SmcConfig())
-        res, cov = self._scalar_reference(target, target.default_start)
-        assert eta.mean.tobytes() == res.x.tobytes()
+        mode, cov, _ = self._scalar_reference(target, target.default_start, monkeypatch)
+        assert eta.mean.tobytes() == mode.tobytes()
         assert eta.cov.tobytes() == (4.0 * cov).tobytes()
 
-    def test_one_batch_per_gradient_and_for_the_hessian(self):
+    @pytest.mark.parametrize("model", ["esnsm", "p1-d1", "p1-d2"])
+    def test_mode_matches_scipy_bfgs_polished(self, model):
+        # an oracle for the private BFGS: scipy's from the same start, then
+        # the same Newton polish, reaches the same mode
+        target = self._target(model)
+
+        def neg(v):
+            val, grad = target.log_target_grad_many(v[None])
+            return -val[0], -grad[0]
+
+        res = minimize(neg, target.default_start, jac=True, method="BFGS",
+                       options={"maxiter": 500, "gtol": 1e-5})
+        mode, _ = smc._newton_polish(target, res.x, -res.jac)
+        eta = smc.laplace_init(target, target.default_start)
+        np.testing.assert_allclose(eta.mean, mode, rtol=1e-9, atol=1e-9)
+
+    def test_one_batch_per_gradient_and_for_the_hessian(self, monkeypatch):
         target = self._target("p1-d1")
         dim = target.dim
         evaluate = target.evaluate
@@ -964,14 +1021,49 @@ class TestLaplaceInit:
         target.evaluate = counted
         smc.laplace_init(target, target.default_start)
         target.evaluate = evaluate
-        res, _ = self._scalar_reference(target, target.default_start)
-        # one-row value and gradient calls for the start check and for BFGS,
-        # whose first call reuses the start check's, and the 2 dim points of
-        # the gradient stencil as the last batch
+        _, _, calls = self._scalar_reference(target, target.default_start, monkeypatch)
+        # one-row value and gradient calls for the start, for BFGS and for
+        # each Newton step after the first, and the 2 dim points of each
+        # gradient stencil as one batch; a stencil ends the polish
         assert rows == []
-        assert grad_rows[-1] == 2 * dim
-        assert grad_rows[:-1] == [1] * res.nfev
-        assert res.nfev == res.njev
+        assert grad_rows == [2 * dim if c == "H" else c for c in calls]
+        assert calls.count("H") >= 2 and calls[-1] == "H"
+        first = calls.index("H")
+        assert calls[:first] == [1] * first and calls[first:].count(1) == calls.count("H") - 1
+
+    @staticmethod
+    def _benchmark_target(model):
+        """The benchmark's seed-21, round-0 dataset of a ``fit-d1`` or
+        ``esnsm`` fit, drawn by its own input generator."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        if model == "esnsm":
+            x, s, y = inputs.selection_data(np.random.default_rng([21, 1, 0]), 1000)
+            data = esnsm.EsnsmData(x, s, y[:, None])
+            return esnsm.make_esnsm_target(
+                data, esnsm.EsnsmHyper.defaults(1, 2, 2, data.n), [0, 1], [0, 2]
+            )
+        z = inputs.esn_draws(np.random.default_rng([21, 0, 0]), 1000, **inputs.D1_DESIGN)
+        return models.make_iid_esn_target(z, priors.default_hyper(1)[0], "p1")
+
+    @pytest.mark.parametrize("model", ["fit-d1", "esnsm"])
+    def test_mode_does_not_ride_on_the_gradients_last_bits(self, model):
+        # every gradient scaled by (1 + 1e-13 u), u fixed in [-1, 1]: scipy's
+        # BFGS without the polish moved the fit-d1 mode by 5.4e-7
+        target = self._benchmark_target(model)
+        base = smc.laplace_init(target, target.default_start).mean
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, target.dim)
+        evaluate = target.evaluate
+
+        def nudged(vmat, grad=False, *args):
+            values, extra = evaluate(vmat, grad, *args)
+            return values, (extra * (1.0 + 1e-13 * u) if grad else extra)
+
+        target.evaluate = nudged
+        moved = smc.laplace_init(target, target.default_start).mean
+        assert np.all(np.abs(moved - base) < 1e-10 * np.maximum(1.0, np.abs(base)))
 
 
 class TestPilotInit:
